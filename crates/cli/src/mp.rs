@@ -12,7 +12,7 @@
 //! conformance).
 //!
 //! Tile payloads travel as `f64::to_bits` integers so the control
-//! channel is exactly as lossless as the FXT2 wire itself.
+//! channel is exactly as lossless as the FXT3 wire itself.
 
 use flexdist_factor::net::{LinkStats, NetReport, RankIo, SocketKind};
 use flexdist_factor::{merge_rank_outcomes, RankOutcome};

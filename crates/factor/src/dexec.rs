@@ -39,7 +39,7 @@
 //!
 //! With [`DexecOptions::faults`] set, every link misbehaves according to
 //! the seeded [`FaultPlan`] and the engine compensates: senders
-//! retransmit dropped/corrupted frames ([`Endpoint::send_tile_reliable`])
+//! retransmit dropped/corrupted frames ([`Endpoint::send_frame_reliable`])
 //! until delivered or [`NetError::RetryExhausted`]; receivers reject
 //! corrupt frames by checksum, deduplicate retransmitted replicas through
 //! the [`ReplicaCache`] seen-set, evict replica payloads after their last
@@ -659,6 +659,8 @@ fn run_rank(
                     i: b.i,
                     j: b.j,
                 })?;
+                // Encoded once; every receiver gets these same bytes.
+                let frame = ep.encode_frame(b.class, b.i, b.j, b.epoch, tile)?;
                 for (k, &to) in b.receivers.iter().enumerate() {
                     // Send-enqueue vs. wire-departure: `enq` is stamped
                     // before the (blocking, possibly retransmitting) send,
@@ -669,7 +671,7 @@ fn run_rank(
                     } else {
                         0.0
                     };
-                    let receipt = ep.send_tile_reliable(to, b.class, b.i, b.j, b.epoch, tile)?;
+                    let receipt = ep.send_frame_reliable(to, &frame)?;
                     out.io.sent_msgs += 1;
                     out.io.sent_bytes += receipt.goodput_bytes as u64;
                     if b.recovered.get(k).copied().unwrap_or(false) {

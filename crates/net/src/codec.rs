@@ -4,24 +4,47 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic  "FXT2"
+//! 0       4     magic  "FXT3"
 //! 4       1     class  (0 = panel, 1 = trailing)
 //! 5       4     src    sending rank,           u32 LE
 //! 9       4     i      tile row,               u32 LE
 //! 13      4     j      tile column,            u32 LE
 //! 17      4     epoch  broadcast iteration ℓ,  u32 LE
 //! 21      4     nb     tile dimension,         u32 LE
-//! 25      8     checksum (FNV-1a 64 over the rest of the frame), u64 LE
+//! 25      8     checksum (see below),          u64 LE
 //! 33      8·nb² payload, column-major f64 bits, LE
 //! ```
 //!
-//! The checksum covers every frame byte except its own field, so any
-//! single flipped bit anywhere — header or payload — is rejected with a
-//! typed decode error ([`NetError::ChecksumMismatch`] or one of the
-//! structural errors when the flip lands in a length-bearing field).
-//! Version 2 of the magic exists precisely because the checksum changed
-//! the layout: a v1 ("FXTM") frame fails with `BadMagic` instead of
-//! being silently misread, and old golden fixtures must be regenerated.
+//! ## Checksum
+//!
+//! [`checksum_of`] covers every frame byte except its own field. With
+//! `step(h, w) = (h ^ w) · P` (wrapping, `P` odd):
+//!
+//! 1. the 25 header bytes before the field are absorbed serially into
+//!    `h`, as three LE `u64` words and then the 1-byte tail;
+//! 2. the payload is read as LE `u64` words in blocks of four, word `k`
+//!    of every block going to lane `k` — four independent multiply
+//!    chains, so the hash runs at word rate instead of byte rate;
+//! 3. the lanes are folded into `h` with the same step, in lane order;
+//! 4. whatever follows the last whole block (one word when `nb` is
+//!    odd) is absorbed serially.
+//!
+//! For a fixed `w`, `step` is a bijection of `h` (xor is one, and
+//! multiplying by an odd number is one modulo 2⁶⁴); for a fixed `h` it
+//! is injective in `w`. So a change confined to one absorbed word or
+//! byte changes the state right after that step, and every later step
+//! carries the difference to the result. Any corruption confined to
+//! one word — every single-byte flip the fault plan injects included —
+//! is therefore *always* rejected with a typed decode error:
+//! [`NetError::ChecksumMismatch`], or a structural error when the flip
+//! lands in a length-bearing field. Changes spread over several words
+//! are caught only with high probability (flipping the top bit of two
+//! consecutive words of one lane cancels, for instance): the checksum
+//! detects the wire faults this crate models, it is no CRC.
+//!
+//! Version 3 of the magic marks this checksum. A v2 ("FXT2", bytewise
+//! FNV-1a) or v1 ("FXTM", unchecksummed) frame fails with `BadMagic`
+//! instead of as a spurious checksum mismatch or a misread.
 //!
 //! Payload values travel as raw IEEE-754 bit patterns
 //! (`f64::to_bits`/`from_bits`), so the round trip is the identity on
@@ -32,8 +55,9 @@
 use crate::error::NetError;
 use flexdist_kernels::Tile;
 
-/// Frame magic: "FXT2" (FleXdist Tile message, version 2 — checksummed).
-pub const MAGIC: [u8; 4] = *b"FXT2";
+/// Frame magic: "FXT3" (FleXdist Tile message, version 3 — word-parallel
+/// checksum).
+pub const MAGIC: [u8; 4] = *b"FXT3";
 
 /// Bytes before the payload (including the checksum field).
 pub const HEADER_LEN: usize = 33;
@@ -179,49 +203,102 @@ pub fn frame_len(nb: usize) -> Result<usize, NetError> {
     usize::try_from(len).map_err(|_| NetError::BadTileSize { nb: nb32 })
 }
 
-/// FNV-1a 64 over every frame byte except the checksum field itself.
-#[must_use]
-pub fn checksum_of(frame: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (at, &b) in frame.iter().enumerate() {
-        if (CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8).contains(&at) {
-            continue;
-        }
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+/// Seed of the serial header/tail chain.
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Odd multiplier of every checksum step (2⁶⁴/φ, rounded to odd).
+const PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Independent payload chains (words per block).
+const LANES: usize = 4;
+
+/// Distinct starting states of the payload lanes.
+const LANE_SEEDS: [u64; LANES] = [step(SEED, 1), step(SEED, 2), step(SEED, 3), step(SEED, 4)];
+
+/// One checksum step: a bijection of `h` for fixed `w`, injective in `w`
+/// for fixed `h`.
+const fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(PRIME)
 }
 
-/// Serialize a message into one frame.
+/// The LE `u64` in an 8-byte chunk.
+fn word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// Serial absorption: whole LE words, then the leftover bytes one by one.
+fn absorb(h: u64, bytes: &[u8]) -> u64 {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(h, |h, w| step(h, word(w)));
+    tail.iter().fold(h, |h, &b| step(h, u64::from(b)))
+}
+
+/// Checksum of every frame byte except the checksum field itself; the
+/// definition and its single-word guarantee are in the module docs.
+#[must_use]
+pub fn checksum_of(frame: &[u8]) -> u64 {
+    let head = &frame[..frame.len().min(CHECKSUM_OFFSET)];
+    let body = frame.get(HEADER_LEN..).unwrap_or_default();
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = body.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    let h = lanes
+        .iter()
+        .fold(absorb(SEED, head), |h, &lane| step(h, lane));
+    absorb(h, blocks.remainder())
+}
+
+/// Serialize one message from its parts, borrowing the tile — what a
+/// broadcast encodes once and sends to every receiver.
 ///
 /// Mirrors the guards of [`decode`]: a tile with `nb == 0` or
 /// `nb > MAX_NB` is rejected *here*, with the same typed error, instead
 /// of being encoded into a frame every peer must refuse (the header's
-/// `nb` field is 32-bit, so oversized tiles previously truncated
-/// silently via `as u32`).
+/// `nb` field is 32-bit, so oversized tiles would otherwise truncate).
+///
+/// # Errors
+/// `BadTileSize` when the tile dimension fails the decode-side bounds.
+pub fn encode_tile(
+    class: MsgClass,
+    src: u32,
+    i: u32,
+    j: u32,
+    epoch: u32,
+    tile: &Tile,
+) -> Result<Vec<u8>, NetError> {
+    let nb = tile.nb();
+    let len = frame_len(nb)?;
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&MAGIC);
+    out.push(class.to_byte());
+    for v in [src, i, j, epoch] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    // `frame_len` proved nb <= MAX_NB < u32::MAX, so this cast is exact.
+    out.extend_from_slice(&(nb as u32).to_le_bytes());
+    // Checksum placeholder and payload, filled in place below.
+    out.resize(len, 0);
+    for (dst, v) in out[HEADER_LEN..].chunks_exact_mut(8).zip(tile.as_slice()) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+    let sum = checksum_of(&out);
+    out[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    Ok(out)
+}
+
+/// Serialize a message into one frame: [`encode_tile`] on its parts.
 ///
 /// # Errors
 /// `BadTileSize` when the tile dimension fails the decode-side bounds.
 pub fn encode(msg: &TileMsg) -> Result<Vec<u8>, NetError> {
-    let nb = msg.tile.nb();
-    let len = frame_len(nb)?;
-    let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(&MAGIC);
-    out.push(msg.class.to_byte());
-    out.extend_from_slice(&msg.src.to_le_bytes());
-    out.extend_from_slice(&msg.i.to_le_bytes());
-    out.extend_from_slice(&msg.j.to_le_bytes());
-    out.extend_from_slice(&msg.epoch.to_le_bytes());
-    // `frame_len` proved nb <= MAX_NB < u32::MAX, so this cast is exact.
-    out.extend_from_slice(&(nb as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 8]); // checksum placeholder
-    for v in msg.tile.as_slice() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let sum = checksum_of(&out);
-    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
-    Ok(out)
+    encode_tile(msg.class, msg.src, msg.i, msg.j, msg.epoch, &msg.tile)
 }
 
 fn u32_at(frame: &[u8], at: usize) -> u32 {
@@ -270,34 +347,18 @@ pub fn decode(frame: &[u8]) -> Result<TileMsg, NetError> {
             got: frame.len(),
         });
     }
-    let want = u64::from_le_bytes([
-        frame[CHECKSUM_OFFSET],
-        frame[CHECKSUM_OFFSET + 1],
-        frame[CHECKSUM_OFFSET + 2],
-        frame[CHECKSUM_OFFSET + 3],
-        frame[CHECKSUM_OFFSET + 4],
-        frame[CHECKSUM_OFFSET + 5],
-        frame[CHECKSUM_OFFSET + 6],
-        frame[CHECKSUM_OFFSET + 7],
-    ]);
+    let want = word(&frame[CHECKSUM_OFFSET..HEADER_LEN]);
     let got = checksum_of(frame);
     if want != got {
         return Err(NetError::ChecksumMismatch { want, got });
     }
     let mut tile = Tile::zeros(nb);
-    for (k, slot) in tile.as_mut_slice().iter_mut().enumerate() {
-        let at = HEADER_LEN + 8 * k;
-        let bits = u64::from_le_bytes([
-            frame[at],
-            frame[at + 1],
-            frame[at + 2],
-            frame[at + 3],
-            frame[at + 4],
-            frame[at + 5],
-            frame[at + 6],
-            frame[at + 7],
-        ]);
-        *slot = f64::from_bits(bits);
+    for (slot, w) in tile
+        .as_mut_slice()
+        .iter_mut()
+        .zip(frame[HEADER_LEN..].chunks_exact(8))
+    {
+        *slot = f64::from_bits(word(w));
     }
     Ok(TileMsg {
         class,
@@ -405,18 +466,22 @@ mod tests {
 
     #[test]
     fn any_single_byte_flip_is_rejected_typed() {
-        let frame = encode(&sample(3)).unwrap();
-        for at in 0..frame.len() {
-            for mask in [0x01u8, 0x80] {
-                let mut bad = frame.clone();
-                bad[at] ^= mask;
-                let err = decode(&bad);
-                assert!(
-                    err.is_err(),
-                    "byte {at} flipped with {mask:#x} decoded fine"
-                );
+        // nb 1..=5 puts the payload end on every lane position and both
+        // remainders (no word after the last block, or one).
+        for nb in 1..=5 {
+            let frame = encode(&sample(nb)).unwrap();
+            for at in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut bad = frame.clone();
+                    bad[at] ^= 1 << bit;
+                    assert!(
+                        decode(&bad).is_err(),
+                        "nb {nb}: byte {at} bit {bit} flipped decoded fine"
+                    );
+                }
             }
         }
+        let frame = encode(&sample(3)).unwrap();
         // Flips outside the length-bearing fields are caught by checksum.
         let mut bad = frame.clone();
         bad[HEADER_LEN + 3] ^= 0x40; // payload byte
@@ -439,14 +504,71 @@ mod tests {
         ));
     }
 
+    /// The checksum as the module docs define it, one word or byte at a
+    /// time with explicit offsets.
+    fn reference_checksum(frame: &[u8]) -> u64 {
+        fn serial(mut h: u64, bytes: &[u8]) -> u64 {
+            let whole = bytes.len() / 8 * 8;
+            for at in (0..whole).step_by(8) {
+                h = step(h, word(&bytes[at..at + 8]));
+            }
+            for &b in &bytes[whole..] {
+                h = step(h, u64::from(b));
+            }
+            h
+        }
+        let head = &frame[..frame.len().min(CHECKSUM_OFFSET)];
+        let body = if frame.len() > HEADER_LEN {
+            &frame[HEADER_LEN..]
+        } else {
+            &[]
+        };
+        let blocks = body.len() / 32;
+        let mut lanes = LANE_SEEDS;
+        for b in 0..blocks {
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                let at = 32 * b + 8 * k;
+                *lane = step(*lane, word(&body[at..at + 8]));
+            }
+        }
+        let mut h = serial(SEED, head);
+        for lane in lanes {
+            h = step(h, lane);
+        }
+        serial(h, &body[32 * blocks..])
+    }
+
+    #[test]
+    fn checksum_matches_its_definition_at_every_length() {
+        let bytes: Vec<u8> = (0..200u32).map(|k| (k * 37 + 11) as u8).collect();
+        for len in 0..=bytes.len() {
+            let frame = &bytes[..len];
+            assert_eq!(checksum_of(frame), reference_checksum(frame), "len {len}");
+        }
+    }
+
+    #[test]
+    fn checksum_known_answer_pins_the_wire_format() {
+        // Changing this value changes the wire format: bump `MAGIC`.
+        let frame = encode(&sample(3)).unwrap();
+        assert_eq!(checksum_of(&frame), 0x11e6_7429_4a81_41fb);
+        assert_eq!(
+            frame[CHECKSUM_OFFSET..HEADER_LEN],
+            checksum_of(&frame).to_le_bytes()
+        );
+    }
+
     #[test]
     fn v1_magic_is_rejected_not_misread() {
-        let mut frame = encode(&sample(2)).unwrap();
-        frame[..4].copy_from_slice(b"FXTM");
-        assert!(matches!(
-            decode(&frame).unwrap_err(),
-            NetError::BadMagic { got } if &got == b"FXTM"
-        ));
+        // v1 (unchecksummed) and v2 (bytewise FNV-1a) alike.
+        for old in [b"FXTM", b"FXT2"] {
+            let mut frame = encode(&sample(2)).unwrap();
+            frame[..4].copy_from_slice(old);
+            assert!(matches!(
+                decode(&frame).unwrap_err(),
+                NetError::BadMagic { got } if &got == old
+            ));
+        }
     }
 
     #[test]

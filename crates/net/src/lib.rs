@@ -53,7 +53,7 @@ pub use socket::{
     SocketTransport, MAX_STREAM_NB,
 };
 pub use transport::{
-    build_fabric, build_fabric_with, BufferConfig, ChannelTransport, Endpoint, FullMesh, LinkStats,
-    Partition, RecvFaultStats, SendEvent, SendReceipt, Topology, Transport, TransportRecv,
-    TransportSendError,
+    build_fabric, build_fabric_with, BufferConfig, ChannelTransport, Endpoint, Frame, FullMesh,
+    LinkStats, Partition, RecvFaultStats, SendEvent, SendReceipt, Topology, Transport,
+    TransportRecv, TransportSendError,
 };

@@ -550,7 +550,7 @@ impl Transport for SocketTransport {
         BufferConfig::UNBOUNDED
     }
 
-    fn send(&mut self, to: u32, frame: Vec<u8>) -> Result<(), TransportSendError> {
+    fn send(&mut self, to: u32, frame: &[u8]) -> Result<(), TransportSendError> {
         let Some(Some(stream)) = self.outs.get_mut(to as usize) else {
             return Err(TransportSendError::PeerGone);
         };
@@ -564,7 +564,7 @@ impl Transport for SocketTransport {
         })?;
         let send = stream
             .write_all_bytes(&len.to_le_bytes())
-            .and_then(|()| stream.write_all_bytes(&frame));
+            .and_then(|()| stream.write_all_bytes(frame));
         send.map_err(|e| match e.kind() {
             ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
                 TransportSendError::PeerGone
@@ -742,7 +742,7 @@ mod tests {
         let mut t1 = fabric.pop().unwrap();
         let mut t0 = fabric.pop().unwrap();
         let f = frame(7);
-        t0.send(1, f.clone()).unwrap();
+        t0.send(1, &f).unwrap();
         match t1.recv().unwrap() {
             TransportRecv::Frame(got) => assert_eq!(got, f),
             other => panic!("expected frame, got {other:?}"),

@@ -29,8 +29,10 @@
 //! When a [`FaultPlan`] is attached (via [`build_fabric_with`]), the
 //! physical layer becomes imperfect and the endpoints compensate:
 //!
-//! * **sender** — [`Endpoint::send_tile_reliable`] asks the plan for the
-//!   fate of each physical attempt. Dropped or corrupted frames are
+//! * **sender** — [`Endpoint::send_frame_reliable`] asks the plan for
+//!   the fate of each physical attempt of one pre-encoded [`Frame`] (a
+//!   broadcast encodes its tile once and sends those bytes to every
+//!   receiver). Dropped or corrupted frames are
 //!   retransmitted with bounded exponential backoff, up to the plan's
 //!   attempt budget; exhaustion is the typed
 //!   [`NetError::RetryExhausted`]. Because the fate of attempt `k` of a
@@ -49,7 +51,7 @@
 //! survivable fault schedule; retransmitted, corrupted and duplicated
 //! frames land in the separate overhead counters.
 
-use crate::codec::{decode, encode, MsgClass, TileMsg};
+use crate::codec::{decode, encode_tile, MsgClass, TileMsg};
 use crate::error::NetError;
 use crate::fault::{FaultPlan, MsgKind, SendFate};
 use flexdist_dist::TileAssignment;
@@ -279,7 +281,7 @@ pub trait Transport: Send {
     /// # Errors
     /// [`TransportSendError::PeerGone`] when the peer's inbox is gone;
     /// [`TransportSendError::Fatal`] on a broken transport.
-    fn send(&mut self, to: u32, frame: Vec<u8>) -> Result<(), TransportSendError>;
+    fn send(&mut self, to: u32, frame: &[u8]) -> Result<(), TransportSendError>;
 
     /// Block until a frame arrives or every peer has closed.
     ///
@@ -324,13 +326,14 @@ impl Transport for ChannelTransport {
         "channel"
     }
 
-    fn send(&mut self, to: u32, frame: Vec<u8>) -> Result<(), TransportSendError> {
+    fn send(&mut self, to: u32, frame: &[u8]) -> Result<(), TransportSendError> {
         let tx = self
             .txs
             .get(to as usize)
             .and_then(Option::as_ref)
             .ok_or(TransportSendError::PeerGone)?;
-        tx.send(frame).map_err(|_| TransportSendError::PeerGone)
+        tx.send(frame.to_vec())
+            .map_err(|_| TransportSendError::PeerGone)
     }
 
     fn recv(&mut self) -> Result<TransportRecv, NetError> {
@@ -359,6 +362,19 @@ impl Transport for ChannelTransport {
         // never blocks on a full inbox.
         BufferConfig::UNBOUNDED
     }
+}
+
+/// A tile encoded once by [`Endpoint::encode_frame`] — the FXT3 bytes
+/// plus the header fields the per-receiver send gates and fault fates
+/// read — so a broadcast puts the same bytes on every link instead of
+/// re-encoding per receiver.
+#[derive(Debug)]
+pub struct Frame {
+    class: MsgClass,
+    i: u32,
+    j: u32,
+    epoch: u32,
+    bytes: Vec<u8>,
 }
 
 /// One rank's attachment to the fabric: its transport, the owner map
@@ -487,8 +503,9 @@ impl Endpoint {
         self.faults.as_deref()
     }
 
-    /// Ownership + addressing checks shared by both send paths.
-    fn check_send(&self, to: u32, i: u32, j: u32) -> Result<(), NetError> {
+    /// Ownership + addressing checks every send runs, per receiver.
+    fn check_send(&self, to: u32, frame: &Frame) -> Result<(), NetError> {
+        let (i, j) = (frame.i, frame.j);
         let owner = self.assignment.owner(i as usize, j as usize);
         if owner != self.rank {
             return Err(NetError::NotOwner {
@@ -505,7 +522,54 @@ impl Endpoint {
                 j,
             });
         }
+        if self
+            .out_stats
+            .get(to as usize)
+            .and_then(Option::as_ref)
+            .is_none()
+        {
+            return Err(NetError::NoRoute {
+                from: self.rank,
+                to,
+                topology: self.topology,
+            });
+        }
         Ok(())
+    }
+
+    /// Encode one tile as sent by this rank, once, for any number of
+    /// receivers: [`send_frame_reliable`](Self::send_frame_reliable)
+    /// puts the same bytes on every link.
+    ///
+    /// # Errors
+    /// `BadTileSize` when the tile dimension cannot be framed.
+    pub fn encode_frame(
+        &self,
+        class: MsgClass,
+        i: u32,
+        j: u32,
+        epoch: u32,
+        tile: &Tile,
+    ) -> Result<Frame, NetError> {
+        Ok(Frame {
+            class,
+            i,
+            j,
+            epoch,
+            bytes: encode_tile(class, self.rank, i, j, epoch, tile)?,
+        })
+    }
+
+    /// One attempt over a perfect wire: hand the frame to the transport
+    /// and count it as goodput. Returns the frame size in bytes.
+    fn deliver(&mut self, to: u32, frame: &Frame) -> Result<usize, NetError> {
+        let from = self.rank;
+        self.transport.send(to, &frame.bytes).map_err(|e| match e {
+            TransportSendError::PeerGone => NetError::Disconnected { from, to },
+            TransportSendError::Fatal(e) => e,
+        })?;
+        self.record_sent(to, frame.class, frame.bytes.len());
+        Ok(frame.bytes.len())
     }
 
     /// Encode and send one owned tile to a peer over a perfect wire
@@ -514,7 +578,8 @@ impl Endpoint {
     ///
     /// # Errors
     /// `NotOwner` when the tile belongs to another rank, `SelfSend` /
-    /// `NoRoute` / `Disconnected` on addressing failures.
+    /// `NoRoute` / `Disconnected` on addressing failures, `BadTileSize`
+    /// when the tile cannot be framed.
     pub fn send_tile(
         &mut self,
         to: u32,
@@ -524,41 +589,18 @@ impl Endpoint {
         epoch: u32,
         tile: &Tile,
     ) -> Result<usize, NetError> {
-        self.check_send(to, i, j)?;
-        let from = self.rank;
-        let topology = self.topology;
-        if self
-            .out_stats
-            .get(to as usize)
-            .and_then(Option::as_ref)
-            .is_none()
-        {
-            return Err(NetError::NoRoute { from, to, topology });
-        }
-        let frame = encode(&TileMsg {
-            class,
-            src: from,
-            i,
-            j,
-            epoch,
-            tile: tile.clone(),
-        })?;
-        let bytes = frame.len();
-        self.transport.send(to, frame).map_err(|e| match e {
-            TransportSendError::PeerGone => NetError::Disconnected { from, to },
-            TransportSendError::Fatal(e) => e,
-        })?;
-        if let Some(Some(stats)) = self.out_stats.get_mut(to as usize) {
-            stats.record(class, bytes);
-        }
-        Ok(bytes)
+        let frame = self.encode_frame(class, i, j, epoch, tile)?;
+        self.check_send(to, &frame)?;
+        self.deliver(to, &frame)
     }
 
-    /// Encode and send one owned tile, surviving whatever the attached
-    /// [`FaultPlan`] does to the physical frames: dropped or corrupted
+    /// Send one frame of an owned tile, surviving whatever the attached
+    /// [`FaultPlan`] does to the physical copies: dropped or corrupted
     /// copies are retransmitted (bounded exponential backoff), injected
-    /// duplicates are counted as overhead. Without a plan this is
-    /// exactly [`send_tile`](Self::send_tile).
+    /// duplicates are counted as overhead. Without a plan this is a
+    /// single attempt over a perfect wire. The gates, fault fates and
+    /// counters are all per receiver, so a broadcast sends one
+    /// [`Frame`] to each of its receivers in turn.
     ///
     /// A send to a peer whose inbox is gone is treated as a drop and
     /// retried — under crash faults the peer may legitimately be dead —
@@ -566,44 +608,13 @@ impl Endpoint {
     /// `Disconnected`.
     ///
     /// # Errors
-    /// The [`send_tile`](Self::send_tile) addressing errors, plus
-    /// `RetryExhausted` when the attempt budget runs out.
-    pub fn send_tile_reliable(
-        &mut self,
-        to: u32,
-        class: MsgClass,
-        i: u32,
-        j: u32,
-        epoch: u32,
-        tile: &Tile,
-    ) -> Result<SendReceipt, NetError> {
-        self.check_send(to, i, j)?;
-        let from = self.rank;
-        let topology = self.topology;
-        let plan = self.faults.clone();
-        if self
-            .out_stats
-            .get(to as usize)
-            .and_then(Option::as_ref)
-            .is_none()
-        {
-            return Err(NetError::NoRoute { from, to, topology });
-        }
-        let frame = encode(&TileMsg {
-            class,
-            src: from,
-            i,
-            j,
-            epoch,
-            tile: tile.clone(),
-        })?;
-        let bytes = frame.len();
-        let Some(plan) = plan else {
-            self.transport.send(to, frame).map_err(|e| match e {
-                TransportSendError::PeerGone => NetError::Disconnected { from, to },
-                TransportSendError::Fatal(e) => e,
-            })?;
-            self.record_sent(to, class, bytes);
+    /// `NotOwner` when the tile belongs to another rank, `SelfSend` /
+    /// `NoRoute` on addressing failures, `Disconnected` (no plan) or
+    /// `RetryExhausted` (under a plan) when the peer never takes it.
+    pub fn send_frame_reliable(&mut self, to: u32, frame: &Frame) -> Result<SendReceipt, NetError> {
+        self.check_send(to, frame)?;
+        let Some(plan) = self.faults.clone() else {
+            let bytes = self.deliver(to, frame)?;
             return Ok(SendReceipt {
                 goodput_bytes: bytes,
                 attempts: 1,
@@ -614,6 +625,12 @@ impl Endpoint {
                 }],
             });
         };
+        let from = self.rank;
+        let Frame {
+            class, i, j, epoch, ..
+        } = *frame;
+        let bytes = frame.bytes.len();
+        let frame = &frame.bytes;
         let mut events = Vec::new();
         for attempt in 0..plan.max_attempts() {
             if attempt > 0 {
@@ -637,7 +654,7 @@ impl Endpoint {
                     // peer is alive to reject it; a gone peer is ignored so
                     // the counters stay schedule-deterministic. A broken
                     // transport is still fatal.
-                    match self.transport.send(to, bad) {
+                    match self.transport.send(to, &bad) {
                         Ok(()) | Err(TransportSendError::PeerGone) => {}
                         Err(TransportSendError::Fatal(e)) => return Err(e),
                     }
@@ -649,7 +666,7 @@ impl Endpoint {
                     });
                 }
                 SendFate::Deliver | SendFate::DeliverTwice => {
-                    match self.transport.send(to, frame.clone()) {
+                    match self.transport.send(to, frame) {
                         Err(TransportSendError::PeerGone) => {
                             // Peer gone: physically indistinguishable from a
                             // drop; keep retrying until the budget runs out.
@@ -1011,6 +1028,51 @@ mod tests {
         assert_eq!(eps[1].recv_stats()[0].msgs, 1);
     }
 
+    /// A broadcast encodes once; every receiver must still get exactly
+    /// the bytes a per-receiver `encode` would have produced, with and
+    /// without a fault plan in the way (duplicates resend those bytes).
+    #[test]
+    fn encode_once_broadcast_is_byte_identical_per_peer() {
+        let a = Arc::new(TileAssignment::from_owner_fn(2, 4, |i, j| {
+            (i + 2 * j) as u32
+        }));
+        let tile = Tile::from_fn(3, |r, c| (r * 7 + c) as f64 - 0.5);
+        let want = crate::codec::encode(&TileMsg {
+            class: MsgClass::Trailing,
+            src: 0,
+            i: 0,
+            j: 0,
+            epoch: 0,
+            tile: tile.clone(),
+        })
+        .unwrap();
+        let dup = Arc::new(FaultPlan::new(5).with_duplicate(1.0));
+        for (faults, copies) in [(None, 1), (Some(dup), 2)] {
+            let mut eps = build_fabric_with(&a, &FullMesh, faults);
+            let frame = eps[0]
+                .encode_frame(MsgClass::Trailing, 0, 0, 0, &tile)
+                .unwrap();
+            assert_eq!(frame.bytes, want);
+            for to in 1..4 {
+                let receipt = eps[0].send_frame_reliable(to, &frame).unwrap();
+                assert_eq!(receipt.goodput_bytes, want.len());
+            }
+            for ep in &mut eps[1..] {
+                for _ in 0..copies {
+                    match ep.transport.recv().unwrap() {
+                        TransportRecv::Frame(got) => assert_eq!(got, want),
+                        other => panic!("rank {}: expected a frame, got {other:?}", ep.rank),
+                    }
+                }
+            }
+            let sent = eps[0].sent_stats();
+            for to in 1..4 {
+                let (_, stats) = sent.iter().find(|(peer, _)| *peer == to).unwrap();
+                assert_eq!((stats.msgs, stats.trailing), (1, 1), "link 0 -> {to}");
+            }
+        }
+    }
+
     #[test]
     fn self_send_and_missing_route_are_rejected() {
         let mut eps = two_rank_fabric();
@@ -1054,9 +1116,10 @@ mod tests {
         );
         let mut eps = two_rank_fabric_with(Some(Arc::clone(&plan)));
         let tile = Tile::zeros(2);
-        let receipt = eps[0]
-            .send_tile_reliable(1, MsgClass::Panel, 0, 0, 0, &tile)
+        let frame = eps[0]
+            .encode_frame(MsgClass::Panel, 0, 0, 0, &tile)
             .unwrap();
+        let receipt = eps[0].send_frame_reliable(1, &frame).unwrap();
         assert_eq!(receipt.attempts, 2);
         assert_eq!(receipt.events.len(), 2);
         assert_eq!(receipt.events[0].kind, MsgKind::Dropped);
@@ -1085,9 +1148,10 @@ mod tests {
                 .with_backoff(Duration::from_micros(1), Duration::from_micros(2)),
         );
         let mut eps = two_rank_fabric_with(Some(plan));
-        let err = eps[0]
-            .send_tile_reliable(1, MsgClass::Panel, 0, 0, 0, &Tile::zeros(2))
-            .unwrap_err();
+        let frame = eps[0]
+            .encode_frame(MsgClass::Panel, 0, 0, 0, &Tile::zeros(2))
+            .unwrap();
+        let err = eps[0].send_frame_reliable(1, &frame).unwrap_err();
         assert_eq!(
             err,
             NetError::RetryExhausted {
@@ -1117,9 +1181,10 @@ mod tests {
         );
         let mut eps = two_rank_fabric_with(Some(plan));
         let tile = Tile::from_fn(2, |i, j| (i * 2 + j) as f64);
-        let receipt = eps[0]
-            .send_tile_reliable(1, MsgClass::Trailing, 0, 0, 0, &tile)
+        let frame = eps[0]
+            .encode_frame(MsgClass::Trailing, 0, 0, 0, &tile)
             .unwrap();
+        let receipt = eps[0].send_frame_reliable(1, &frame).unwrap();
         assert_eq!(receipt.events[0].kind, MsgKind::Corrupt);
         // Receiver rejects the corrupt copy, consumes the clean one.
         let (msg, _) = eps[1]
@@ -1150,9 +1215,10 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(seed).with_delay(1.0));
         let mut eps = two_rank_fabric_with(Some(plan));
         let tile = Tile::zeros(2);
-        eps[0]
-            .send_tile_reliable(1, MsgClass::Panel, 0, 0, 0, &tile)
+        let frame = eps[0]
+            .encode_frame(MsgClass::Panel, 0, 0, 0, &tile)
             .unwrap();
+        eps[0].send_frame_reliable(1, &frame).unwrap();
         // Stash the delayed frame, then re-stash it so it stays pending.
         let (msg, bytes) = eps[1]
             .recv_deadline(Duration::from_secs(1))
@@ -1189,8 +1255,8 @@ mod tests {
         let mut ep1 = eps.remove(1);
         let mut ep0 = eps.remove(0);
         let tile = Tile::zeros(2);
-        ep0.send_tile_reliable(1, MsgClass::Panel, 0, 0, 0, &tile)
-            .unwrap();
+        let frame = ep0.encode_frame(MsgClass::Panel, 0, 0, 0, &tile).unwrap();
+        ep0.send_frame_reliable(1, &frame).unwrap();
         // Receiver consumes the goodput copy; the duplicate stays queued.
         let (msg, _) = ep1.recv_deadline(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!((msg.i, msg.j), (0, 0));
@@ -1219,12 +1285,14 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(seed).with_delay(0.5));
         let mut eps = two_rank_fabric_with(Some(plan));
         let tile = Tile::zeros(2);
-        eps[0]
-            .send_tile_reliable(1, MsgClass::Panel, 0, 0, 0, &tile)
+        let frame = eps[0]
+            .encode_frame(MsgClass::Panel, 0, 0, 0, &tile)
             .unwrap();
-        eps[0]
-            .send_tile_reliable(1, MsgClass::Trailing, 1, 1, 1, &tile)
+        eps[0].send_frame_reliable(1, &frame).unwrap();
+        let frame = eps[0]
+            .encode_frame(MsgClass::Trailing, 1, 1, 1, &tile)
             .unwrap();
+        eps[0].send_frame_reliable(1, &frame).unwrap();
         // The undelayed frame overtakes the stashed one (reordering)...
         let (first, _) = eps[1]
             .recv_deadline(Duration::from_secs(1))

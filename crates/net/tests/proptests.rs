@@ -10,7 +10,8 @@
 //!   against itself.
 //! * **Codec** — `TileMsg` framing round-trips losslessly for arbitrary
 //!   payload bit patterns (NaNs, signed zeros, infinities) and extreme
-//!   header values, and every truncation of a valid frame is rejected.
+//!   header values, every truncation of a valid frame is rejected, and
+//!   so is every single-byte corruption.
 
 use flexdist_core::{g2dbc, sbc, twodbc};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
@@ -186,6 +187,30 @@ proptest! {
                 "truncated frame ({cut} of {} bytes) decoded as {other:?}",
                 frame.len()
             ))),
+        }
+    }
+
+    /// A random non-zero XOR on one random byte of a random-size frame
+    /// never decodes: the checksum catches every change confined to one
+    /// byte, and flips in length-bearing fields fail structurally.
+    #[test]
+    fn single_byte_corruption_never_decodes(
+        nb in 1usize..9,
+        seed in 0u64..=u64::MAX,
+        frac in 0u32..1000,
+        mask in 1u32..256,
+    ) {
+        let tile = Tile::from_fn(nb, |r, c| f64::from_bits(mix(seed ^ ((r as u64) << 20) ^ c as u64)));
+        let msg = TileMsg { class: MsgClass::Panel, src: 1, i: 4, j: 4, epoch: 4, tile };
+        let mut frame = encode(&msg).unwrap();
+        let at = (frac as usize * frame.len()) / 1000;
+        frame[at] ^= u8::try_from(mask).expect("mask below 256");
+        if let Ok(back) = decode(&frame) {
+            return Err(TestCaseError::fail(format!(
+                "byte {at} xor {mask:#04x} of a {}-byte frame decoded as {:?}",
+                frame.len(),
+                back.key()
+            )));
         }
     }
 }
