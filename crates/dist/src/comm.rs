@@ -9,7 +9,7 @@
 //! which lets the tests quantify how fast the estimate converges.
 
 use crate::assignment::TileAssignment;
-use crate::schedule::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg};
+use crate::schedule::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg, Collector};
 use flexdist_core::Pattern;
 
 /// Communication volumes in *tiles sent* (one unit = one tile transferred to
@@ -30,38 +30,6 @@ impl CommBreakdown {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.panel + self.trailing
-    }
-}
-
-/// Reusable distinct-receiver accumulator (stamp vector keyed by node).
-struct ReceiverSet {
-    stamp: Vec<u32>,
-    current: u32,
-    count: u64,
-}
-
-impl ReceiverSet {
-    fn new(n_nodes: u32) -> Self {
-        Self {
-            stamp: vec![0; n_nodes as usize],
-            current: 0,
-            count: 0,
-        }
-    }
-
-    /// Start counting receivers for a new message, excluding `sender`.
-    fn begin(&mut self, sender: u32) {
-        self.current += 1;
-        self.count = 0;
-        self.stamp[sender as usize] = self.current;
-    }
-
-    fn add(&mut self, node: u32) {
-        let s = &mut self.stamp[node as usize];
-        if *s != self.current {
-            *s = self.current;
-            self.count += 1;
-        }
     }
 }
 
@@ -122,22 +90,16 @@ pub fn cholesky_comm_volume(a: &TileAssignment) -> CommBreakdown {
 #[must_use]
 pub fn gemm_comm_volume(a: &TileAssignment) -> CommBreakdown {
     let t = a.tiles();
-    let mut rs = ReceiverSet::new(a.n_nodes());
+    let mut rc = Collector::new(a.n_nodes());
     let mut out = CommBreakdown::default();
     for l in 0..t {
         for i in 0..t {
-            rs.begin(a.owner(i, l));
-            for j in 0..t {
-                rs.add(a.owner(i, j));
-            }
-            out.trailing += rs.count;
+            let recv = rc.collect(a.owner(i, l), (0..t).map(|j| a.owner(i, j)));
+            out.trailing += recv.len() as u64;
         }
         for j in 0..t {
-            rs.begin(a.owner(l, j));
-            for i in 0..t {
-                rs.add(a.owner(i, j));
-            }
-            out.trailing += rs.count;
+            let recv = rc.collect(a.owner(l, j), (0..t).map(|i| a.owner(i, j)));
+            out.trailing += recv.len() as u64;
         }
     }
     out

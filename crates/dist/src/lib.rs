@@ -11,11 +11,12 @@
 //!   with the closed-form estimates of paper Eq. 1 / Eq. 2;
 //! * [`schedule`] — the underlying Fig. 2 broadcast walks as a reusable
 //!   message stream (sender, tile, epoch, distinct receiver set), which
-//!   the volume counters fold over and the distributed executor and the
-//!   static protocol verifier both mirror;
-//! * [`splice`] — the post-crash fusion of two walks across a crash
-//!   point: the exact message stream (and its total / recovered volume
-//!   split) of a run that re-maps a dead node's tiles onto survivors;
+//!   the volume counters fold over and the static protocol verifier
+//!   uses as its independent oracle;
+//! * [`splice`] — the walks fused across any number of crash points:
+//!   the exact message stream (and its total / recovered volume split)
+//!   of a run that re-maps dead nodes' tiles onto survivors. Its
+//!   zero-crash case is the distributed executor's schedule;
 //! * [`load`] — per-node tile-count and flop-weighted load reports.
 
 #![forbid(unsafe_code)]
@@ -31,5 +32,5 @@ pub use comm::{cholesky_comm_volume, gemm_comm_volume, lu_comm_volume, CommBreak
 pub use load::LoadReport;
 pub use schedule::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg};
 pub use splice::{
-    cholesky_spliced_broadcasts, lu_spliced_broadcasts, spliced_volume, SplicedMsg, SplicedVolume,
+    cholesky_spliced_chain, lu_spliced_chain, spliced_volume, SplicedMsg, SplicedVolume,
 };

@@ -5,10 +5,14 @@
 //! panel and trailing broadcast with its sender, tile, epoch, and the
 //! distinct receiver set in first-encounter order. The volume counters
 //! are reimplemented on top of this walk, so every exact-count and
-//! hand-count test of `comm` doubles as a fidelity proof of the stream —
-//! and the distributed executor (`flexdist-factor::dexec`) and the
-//! static protocol verifier (`flexdist-verify::protocol`) both derive
-//! their schedules from the identical owner walks.
+//! hand-count test of `comm` doubles as a fidelity proof of the stream.
+//!
+//! The distributed executor does *not* run this walk: its schedule is the
+//! zero-crash case of the spliced chain in [`splice`](crate::splice),
+//! which writes out the same reader sets separately. This walk is the
+//! independent oracle the static protocol verifier
+//! (`flexdist-verify::protocol`) diffs the executor's schedule against,
+//! message for message.
 
 use crate::assignment::TileAssignment;
 
@@ -44,22 +48,28 @@ pub struct BcastMsg {
     pub receivers: Vec<u32>,
 }
 
-/// Distinct-receiver collector (stamp vector keyed by node), keeping
-/// the receivers in first-encounter order instead of only counting.
-struct Collector {
+/// Distinct-receiver collector: a stamp vector keyed by node that keeps
+/// the distinct owners of a reader set in first-encounter order, never
+/// the sender. The one collector behind the walks, the splice and the
+/// GEMM counter.
+pub(crate) struct Collector {
     stamp: Vec<u32>,
     current: u32,
 }
 
 impl Collector {
-    fn new(n_nodes: u32) -> Self {
+    pub(crate) fn new(n_nodes: u32) -> Self {
         Self {
             stamp: vec![0; n_nodes as usize],
             current: 0,
         }
     }
 
-    fn collect(&mut self, sender: u32, owners: impl Iterator<Item = u32>) -> Vec<u32> {
+    pub(crate) fn collect(
+        &mut self,
+        sender: u32,
+        owners: impl IntoIterator<Item = u32>,
+    ) -> Vec<u32> {
         self.current += 1;
         self.stamp[sender as usize] = self.current;
         let mut out = Vec::new();

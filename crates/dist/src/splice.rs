@@ -1,5 +1,5 @@
 //! Post-crash spliced broadcast streams: the Fig. 2 owner walks fused
-//! across a crash point.
+//! across crash points.
 //!
 //! When node `dead` dies at the start of epoch `e`, the run is a hybrid
 //! of two assignments: everything the dead node finalized *before* `e`
@@ -9,12 +9,20 @@
 //! survivor assignment `a2` (see [`TileAssignment::remap_without`]).
 //!
 //! This module computes the exact message stream of that hybrid run by
-//! fusing the two walks tile by tile. It is the closed-form oracle the
-//! executor's goodput accounting and the static protocol verifier are
-//! both held to: the recovered run's wire volume must equal
-//! [`SplicedVolume::total`] exactly, with the *extra* messages caused by
-//! the re-map (and nothing else) flagged and counted in
+//! fusing the two walks tile by tile — for one crash,
+//! `lu_spliced_chain(&[a, a2], &[(dead, e)])`, and for a cascade of k
+//! crashes the same call over a k+1 map chain. It is the closed-form
+//! oracle the executor's goodput accounting and the static protocol
+//! verifier are both held to: the recovered run's wire volume must
+//! equal [`SplicedVolume::total`] exactly, with the *extra* messages
+//! caused by the re-map (and nothing else) flagged and counted in
 //! [`SplicedVolume::recovered`].
+//!
+//! With no crash at all (`lu_spliced_chain(&[a], &[])`) the stream is
+//! the plain walk, receiver order included, with nothing flagged — and
+//! that zero-crash stream *is* the distributed executor's crash-free
+//! schedule. The walk in [`crate::schedule`] stays as the independent
+//! oracle it is checked against.
 //!
 //! ## Fusion rules
 //!
@@ -63,7 +71,7 @@
 
 use crate::assignment::TileAssignment;
 use crate::comm::CommBreakdown;
-use crate::schedule::BcastClass;
+use crate::schedule::{BcastClass, Collector};
 
 /// One broadcast of the spliced (post-crash) schedule: a
 /// [`BcastMsg`](crate::schedule::BcastMsg) plus a per-receiver flag
@@ -126,45 +134,13 @@ pub fn spliced_volume(msgs: &[SplicedMsg]) -> SplicedVolume {
 /// epoch`.
 pub type CrashPoint = (u32, usize);
 
-/// Distinct-owner collector over reader-tile coordinates (stamp vector,
-/// first-encounter order), mirroring the walk collectors in
-/// [`crate::schedule`].
-struct Distinct {
-    stamp: Vec<u32>,
-    current: u32,
-}
-
-impl Distinct {
-    fn new(n_nodes: u32) -> Self {
-        Self {
-            stamp: vec![0; n_nodes as usize],
-            current: 0,
-        }
-    }
-
-    fn collect(&mut self, a: &TileAssignment, sender: u32, readers: &[(usize, usize)]) -> Vec<u32> {
-        self.current += 1;
-        self.stamp[sender as usize] = self.current;
-        let mut out = Vec::new();
-        for &(i, j) in readers {
-            let node = a.owner(i, j);
-            let s = &mut self.stamp[node as usize];
-            if *s != self.current {
-                *s = self.current;
-                out.push(node);
-            }
-        }
-        out
-    }
-}
-
 /// Shared walk state: the assignment chain `maps[0..=k]` (one per
 /// crash generation; `maps[m]` is in effect after the first `m`
-/// crashes), one collector per map.
+/// crashes) and the receiver collector.
 struct Fuser<'x> {
     maps: &'x [TileAssignment],
     crashes: &'x [CrashPoint],
-    collectors: Vec<Distinct>,
+    rc: Collector,
     out: Vec<SplicedMsg>,
 }
 
@@ -173,33 +149,46 @@ impl Fuser<'_> {
     /// `ℓ = min(i,j)` to the owners of `readers`) across every crash
     /// point of the cascade, appending the resulting message(s) — one
     /// per distinct sender of the tile's ownership chain.
-    fn fuse(&mut self, class: BcastClass, i: usize, j: usize, readers: &[(usize, usize)]) {
+    fn fuse(
+        &mut self,
+        class: BcastClass,
+        i: usize,
+        j: usize,
+        readers: impl Iterator<Item = (usize, usize)> + Clone,
+    ) {
         let l = i.min(j);
         let k = self.crashes.len();
-        let owners: Vec<u32> = self.maps.iter().map(|m| m.owner(i, j)).collect();
+        let maps = self.maps;
+        let owner = |m: usize| maps[m].owner(i, j);
+        let readers_under = |m: usize| readers.clone().map(move |(ri, rj)| maps[m].owner(ri, rj));
         // Crash-free receivers, against which the recovered flags are
         // computed: a send is recovered exactly when its (sender →
         // receiver) pair is absent from the plain walk under maps[0].
-        let rec0 = self.collectors[0].collect(&self.maps[0], owners[0], readers);
+        let mut rec0 = self.rc.collect(owner(0), readers_under(0));
         // The generation whose map is live when the broadcast fires.
         let g = self.crashes.iter().filter(|&&(_, e)| e <= l).count();
         // Receivers already served, across all generations.
         let mut acc: Vec<u32> = Vec::new();
         for m in g..=k {
-            let s = owners[m];
-            // The chain of owners after generation m: every one of them
-            // re-computes the tile locally (heirs re-execute the lost
-            // producer chain), so no send is ever addressed to them.
-            let future = &owners[(m + 1)..];
-            let rec = self.collectors[m].collect(&self.maps[m], s, readers);
-            let receivers: Vec<u32> = rec
-                .into_iter()
-                .filter(|r| !acc.contains(r) && !future.contains(r))
-                .collect();
-            acc.extend(&receivers);
+            let s = owner(m);
+            // rec0 outlives generation 0 only to flag later generations.
+            let mut receivers = match m {
+                0 if k == 0 => std::mem::take(&mut rec0),
+                0 => rec0.clone(),
+                _ => self.rc.collect(s, readers_under(m)),
+            };
+            // Every owner after generation m re-computes the tile
+            // locally (heirs re-execute the lost producer chain), so no
+            // send is ever addressed to them.
+            receivers.retain(|&r| !acc.contains(&r) && ((m + 1)..=k).all(|q| owner(q) != r));
+            if m < k {
+                // Only later generations read what was served.
+                acc.extend(&receivers);
+            }
+            // Generation 0 sends only crash-free pairs.
             let recovered: Vec<bool> = receivers
                 .iter()
-                .map(|r| s != owners[0] || !rec0.contains(r))
+                .map(|r| m > 0 && (s != owner(0) || !rec0.contains(r)))
                 .collect();
             if receivers.is_empty() {
                 continue;
@@ -224,12 +213,6 @@ impl Fuser<'_> {
             });
         }
     }
-}
-
-fn check_pair(a: &TileAssignment, a2: &TileAssignment, dead: u32) {
-    assert_eq!(a.tiles(), a2.tiles(), "assignment shapes differ");
-    assert_eq!(a.n_nodes(), a2.n_nodes(), "node counts differ");
-    assert!(dead < a.n_nodes(), "dead node {dead} out of range");
 }
 
 /// Validate an assignment chain + crash list for the `*_spliced_chain`
@@ -269,7 +252,7 @@ fn new_fuser<'x>(maps: &'x [TileAssignment], crashes: &'x [CrashPoint]) -> Fuser
     Fuser {
         maps,
         crashes,
-        collectors: maps.iter().map(|m| Distinct::new(m.n_nodes())).collect(),
+        rc: Collector::new(maps[0].n_nodes()),
         out: Vec::new(),
     }
 }
@@ -279,9 +262,10 @@ fn new_fuser<'x>(maps: &'x [TileAssignment], crashes: &'x [CrashPoint]) -> Fuser
 /// every crash of `crashes` (sorted by `(epoch, rank)`), with
 /// `maps[m]` the assignment in effect after the first `m` crashes —
 /// `maps[0]` the original, `maps[m+1] =
-/// maps[m].remap_excluding(crashes[m].0, earlier casualties)`. Pass an
-/// all-identical chain for an inactive cascade — the stream then
-/// equals the plain walk with no recovered sends.
+/// maps[m].remap_excluding(crashes[m].0, earlier casualties)`. With
+/// `maps = [a]` and no crash — or an all-identical chain, for an
+/// inactive cascade — the stream equals the plain walk with no
+/// recovered sends.
 ///
 /// # Panics
 /// Panics if the chain and crash list disagree in length, the maps
@@ -292,15 +276,13 @@ pub fn lu_spliced_chain(maps: &[TileAssignment], crashes: &[CrashPoint]) -> Vec<
     let mut f = new_fuser(maps, crashes);
     let t = maps[0].tiles();
     for l in 0..t {
-        let readers: Vec<(usize, usize)> = ((l + 1)..t).flat_map(|i| [(i, l), (l, i)]).collect();
-        f.fuse(BcastClass::Panel, l, l, &readers);
+        let readers = ((l + 1)..t).flat_map(|i| [(i, l), (l, i)]);
+        f.fuse(BcastClass::Panel, l, l, readers);
         for i in (l + 1)..t {
-            let readers: Vec<(usize, usize)> = ((l + 1)..t).map(|j| (i, j)).collect();
-            f.fuse(BcastClass::Trailing, i, l, &readers);
+            f.fuse(BcastClass::Trailing, i, l, ((l + 1)..t).map(|j| (i, j)));
         }
         for j in (l + 1)..t {
-            let readers: Vec<(usize, usize)> = ((l + 1)..t).map(|i| (i, j)).collect();
-            f.fuse(BcastClass::Trailing, l, j, &readers);
+            f.fuse(BcastClass::Trailing, l, j, ((l + 1)..t).map(|i| (i, j)));
         }
     }
     f.out
@@ -318,54 +300,15 @@ pub fn cholesky_spliced_chain(maps: &[TileAssignment], crashes: &[CrashPoint]) -
     let mut f = new_fuser(maps, crashes);
     let t = maps[0].tiles();
     for l in 0..t {
-        let readers: Vec<(usize, usize)> = ((l + 1)..t).map(|i| (i, l)).collect();
-        f.fuse(BcastClass::Panel, l, l, &readers);
+        f.fuse(BcastClass::Panel, l, l, ((l + 1)..t).map(|i| (i, l)));
         for i in (l + 1)..t {
-            let readers: Vec<(usize, usize)> = ((l + 1)..=i)
+            let readers = ((l + 1)..=i)
                 .map(|j| (i, j))
-                .chain(((i + 1)..t).map(|j| (j, i)))
-                .collect();
-            f.fuse(BcastClass::Trailing, i, l, &readers);
+                .chain(((i + 1)..t).map(|j| (j, i)));
+            f.fuse(BcastClass::Trailing, i, l, readers);
         }
     }
     f.out
-}
-
-/// The spliced LU broadcast stream of a single crash: the k = 1 case
-/// of [`lu_spliced_chain`], with `a2` the re-mapped survivor
-/// assignment. Pass `a2 = a` (and any `epoch`) for an inactive
-/// recovery — the stream then equals the plain walk with no recovered
-/// sends.
-///
-/// # Panics
-/// Panics if `a` and `a2` disagree on shape or node count, or `dead`
-/// is out of range.
-#[must_use]
-pub fn lu_spliced_broadcasts(
-    a: &TileAssignment,
-    a2: &TileAssignment,
-    dead: u32,
-    epoch: usize,
-) -> Vec<SplicedMsg> {
-    check_pair(a, a2, dead);
-    lu_spliced_chain(&[a.clone(), a2.clone()], &[(dead, epoch)])
-}
-
-/// The spliced Cholesky broadcast stream of a single crash: the k = 1
-/// case of [`cholesky_spliced_chain`].
-///
-/// # Panics
-/// Panics if `a` and `a2` disagree on shape or node count, or `dead`
-/// is out of range.
-#[must_use]
-pub fn cholesky_spliced_broadcasts(
-    a: &TileAssignment,
-    a2: &TileAssignment,
-    dead: u32,
-    epoch: usize,
-) -> Vec<SplicedMsg> {
-    check_pair(a, a2, dead);
-    cholesky_spliced_chain(&[a.clone(), a2.clone()], &[(dead, epoch)])
 }
 
 #[cfg(test)]
@@ -392,12 +335,13 @@ mod tests {
 
     #[test]
     fn identity_remap_reproduces_the_plain_walk() {
-        // With a2 = a (inactive recovery) the spliced stream must equal
-        // the plain walk exactly, at any crash epoch, with nothing
-        // flagged recovered.
+        // With an identity re-map (inactive recovery) the spliced stream
+        // must equal the plain walk exactly, at any crash epoch, with
+        // nothing flagged recovered.
         let a = g2dbc_assign(5, 8);
+        let maps = [a.clone(), a.clone()];
         for e in [0usize, 3, 8, 99] {
-            let s = lu_spliced_broadcasts(&a, &a, 2, e);
+            let s = lu_spliced_chain(&maps, &[(2, e)]);
             let plain: Vec<BcastMsg> = lu_broadcasts(&a).collect();
             assert_eq!(s.iter().map(to_plain).collect::<Vec<_>>(), plain);
             assert!(s.iter().all(|m| m.recovered.iter().all(|&f| !f)));
@@ -412,11 +356,11 @@ mod tests {
         // e = 0: the dead node never executes anything, so the stream is
         // exactly the plain walk of the re-mapped assignment.
         let a = g2dbc_assign(6, 9);
-        let a2 = a.remap_without(4);
-        let s = cholesky_spliced_broadcasts(&a, &a2, 4, 0);
-        let plain: Vec<BcastMsg> = cholesky_broadcasts(&a2).collect();
+        let maps = [a.clone(), a.remap_without(4)];
+        let s = cholesky_spliced_chain(&maps, &[(4, 0)]);
+        let plain: Vec<BcastMsg> = cholesky_broadcasts(&maps[1]).collect();
         assert_eq!(s.iter().map(to_plain).collect::<Vec<_>>(), plain);
-        assert_eq!(spliced_volume(&s).total, cholesky_comm_volume(&a2));
+        assert_eq!(spliced_volume(&s).total, cholesky_comm_volume(&maps[1]));
         // Something must still be flagged: every broadcast of a tile
         // that used to be dead-owned is pure recovery traffic.
         assert!(spliced_volume(&s).recovered.total() > 0);
@@ -425,11 +369,11 @@ mod tests {
     #[test]
     fn exactly_once_per_receiver_and_no_self_sends() {
         let a = g2dbc_assign(7, 10);
-        let a2 = a.remap_without(3);
+        let maps = [a.clone(), a.remap_without(3)];
         for e in 0..10 {
             for s in [
-                lu_spliced_broadcasts(&a, &a2, 3, e),
-                cholesky_spliced_broadcasts(&a, &a2, 3, e),
+                lu_spliced_chain(&maps, &[(3, e)]),
+                cholesky_spliced_chain(&maps, &[(3, e)]),
             ] {
                 let mut seen = std::collections::HashSet::new();
                 for m in &s {
@@ -460,9 +404,9 @@ mod tests {
     #[test]
     fn dead_node_neither_sends_nor_receives_after_the_crash() {
         let a = g2dbc_assign(5, 8);
-        let a2 = a.remap_without(0);
+        let maps = [a.clone(), a.remap_without(0)];
         for e in 0..8 {
-            for m in lu_spliced_broadcasts(&a, &a2, 0, e) {
+            for m in lu_spliced_chain(&maps, &[(0, e)]) {
                 if m.sender == 0 {
                     assert!(m.epoch < e, "dead sends post-crash: {m:?}");
                     assert!(m.recovered.iter().all(|&f| !f));
@@ -477,7 +421,7 @@ mod tests {
         // (sender → receiver, tile) pairs; flagged sends must be absent
         // from it.
         let a = TileAssignment::extended(&sbc::sbc_extended(21).unwrap(), 9);
-        let a2 = a.remap_without(7);
+        let maps = [a.clone(), a.remap_without(7)];
         let plain: std::collections::HashSet<(u32, u32, usize, usize)> = lu_broadcasts(&a)
             .flat_map(|m| {
                 let s = m.sender;
@@ -486,7 +430,7 @@ mod tests {
             })
             .collect();
         for e in [2usize, 5] {
-            for m in lu_spliced_broadcasts(&a, &a2, 7, e) {
+            for m in lu_spliced_chain(&maps, &[(7, e)]) {
                 for (&r, &f) in m.receivers.iter().zip(&m.recovered) {
                     let key = (m.sender, r, m.i, m.j);
                     if f {
@@ -509,22 +453,6 @@ mod tests {
             gone.push(dead);
         }
         maps
-    }
-
-    #[test]
-    fn single_crash_chain_equals_the_pairwise_splice() {
-        let a = g2dbc_assign(6, 8);
-        for dead in [0u32, 4] {
-            let maps = chain_for(&a, &[(dead, 3)]);
-            assert_eq!(
-                lu_spliced_chain(&maps, &[(dead, 3)]),
-                lu_spliced_broadcasts(&a, &maps[1], dead, 3)
-            );
-            assert_eq!(
-                cholesky_spliced_chain(&maps, &[(dead, 3)]),
-                cholesky_spliced_broadcasts(&a, &maps[1], dead, 3)
-            );
-        }
     }
 
     #[test]
@@ -690,10 +618,11 @@ mod tests {
         // its reader set receives the tile exactly once — except the dead
         // node, which (post-crash) reads nothing.
         let a = g2dbc_assign(6, 8);
-        let a2 = a.remap_without(5);
+        let maps = [a.clone(), a.remap_without(5)];
+        let a2 = &maps[1];
         let e = 4usize;
         let t = 8usize;
-        let msgs = cholesky_spliced_broadcasts(&a, &a2, 5, e);
+        let msgs = cholesky_spliced_chain(&maps, &[(5, e)]);
         let mut got: std::collections::HashMap<(usize, usize), Vec<u32>> =
             std::collections::HashMap::new();
         for m in &msgs {

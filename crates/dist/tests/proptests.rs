@@ -2,7 +2,10 @@
 
 use flexdist_core::{cost, g2dbc, sbc, twodbc};
 use flexdist_dist::comm::{cholesky_comm_estimate, lu_comm_estimate};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
+use flexdist_dist::{
+    cholesky_broadcasts, cholesky_comm_volume, cholesky_spliced_chain, lu_broadcasts,
+    lu_comm_volume, lu_spliced_chain, spliced_volume, TileAssignment,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -168,5 +171,36 @@ proptest! {
         let v = lu_comm_volume(&a);
         prop_assert!(v.panel <= v.trailing,
             "panel {} > trailing {} at t = {}", v.panel, v.trailing, t);
+    }
+
+    /// The zero-crash splice is the plain Fig. 2 walk, for LU and
+    /// Cholesky alike: message for message, receiver order included,
+    /// nothing flagged recovered, and the exact closed-form volume. The
+    /// distributed executor runs this stream as its crash-free schedule.
+    #[test]
+    fn zero_crash_chain_is_the_plain_walk(p in 2u32..=64, t in 1usize..24, shape in 0u8..2) {
+        let pat = if shape == 0 { twodbc::best_2dbc(p) } else { g2dbc::g2dbc(p) };
+        let a = TileAssignment::cyclic(&pat, t);
+        let maps = std::slice::from_ref(&a);
+        let lu = (lu_spliced_chain(maps, &[]), lu_broadcasts(&a).collect::<Vec<_>>(), lu_comm_volume(&a));
+        let chol = (
+            cholesky_spliced_chain(maps, &[]),
+            cholesky_broadcasts(&a).collect::<Vec<_>>(),
+            cholesky_comm_volume(&a),
+        );
+        for (chain, walk, volume) in [lu, chol] {
+            prop_assert_eq!(chain.len(), walk.len());
+            for (c, w) in chain.iter().zip(&walk) {
+                prop_assert_eq!(
+                    (c.class, c.sender, c.i, c.j, c.epoch, &c.receivers),
+                    (w.class, w.sender, w.i, w.j, w.epoch, &w.receivers)
+                );
+                prop_assert_eq!(c.recovered.len(), c.receivers.len());
+                prop_assert!(c.recovered.iter().all(|&f| !f), "flagged: {:?}", c);
+            }
+            let v = spliced_volume(&chain);
+            prop_assert_eq!(v.total, volume);
+            prop_assert_eq!(v.recovered.total(), 0);
+        }
     }
 }

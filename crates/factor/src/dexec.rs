@@ -9,9 +9,7 @@
 //!
 //! ## Broadcast schedule
 //!
-//! The send schedule is derived from the same per-iteration
-//! distinct-receiver structure that `flexdist_dist::comm` counts
-//! analytically:
+//! Every send follows the paper's Fig. 2 owner walk:
 //!
 //! * after `GETRF(ℓ)` / `POTRF(ℓ)`, tile `(ℓ,ℓ)` goes to the distinct
 //!   owners of the panel tiles it unlocks (**panel** class);
@@ -19,9 +17,13 @@
 //!   owners of its trailing row/column (LU) or colrow (Cholesky)
 //!   (**trailing** class).
 //!
-//! Because both walk the identical owner sets, the measured
-//! [`NetReport::wire`] equals `{lu,cholesky}_comm_volume` **exactly** —
-//! the headline conformance invariant, enforced by tests and by the
+//! The engine takes those messages from one place: the spliced stream of
+//! `flexdist_dist::splice`, which a crash-free run uses with zero
+//! crashes and a recovering run with its whole crash cascade. One
+//! builder turns a stream into a [`CommSchedule`]. The zero-crash stream
+//! equals the plain walk that `{lu,cholesky}_comm_volume` folds, so the
+//! measured [`NetReport::wire`] equals those counts **exactly** — the
+//! headline conformance invariant, enforced by tests and by the
 //! `flexdist dexec` CLI on every run.
 //!
 //! ## Progress engine
@@ -62,7 +64,9 @@
 //! worker count (asserted by `tests/distributed_diff.rs`).
 
 use crate::graphs::{Op, Operation, TaskList};
-use flexdist_dist::TileAssignment;
+use crate::recovery::{derive_recovery, RecoverPlan, NO_RANK};
+use flexdist_dist::splice::{cholesky_spliced_chain, lu_spliced_chain, CrashPoint, SplicedMsg};
+use flexdist_dist::{BcastClass, TileAssignment};
 use flexdist_kernels::{
     gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
     trsm_right_upper, KernelError, Tile, TiledMatrix,
@@ -208,10 +212,15 @@ pub struct TaskBcast {
 /// derived from the ops + owner map alone — every send and every remote
 /// operand of every task, before a single message moves.
 ///
-/// This is the single source of truth shared by the progress engine
-/// ([`execute_distributed_with`]) and the static protocol verifier
-/// (`flexdist-verify`'s `protocol` module): both consume exactly this
-/// structure, so what the verifier proves is what the engine runs.
+/// Every schedule, crash-free or recovering, comes out of one builder
+/// over a `flexdist_dist::splice` stream: [`derive_schedule`] is its
+/// zero-crash case, and [`derive_recovery`](crate::derive_recovery)
+/// builds the survivor and casualty schedules from the cascade's
+/// stream. This is the single source of truth shared by the progress
+/// engine ([`execute_distributed_with`]) and the static protocol
+/// verifier (`flexdist-verify`'s `protocol` module): both consume
+/// exactly this structure, so what the verifier proves is what the
+/// engine runs.
 #[derive(Debug, Clone)]
 pub struct CommSchedule {
     /// Tile count per matrix side.
@@ -232,50 +241,22 @@ pub struct CommSchedule {
     pub epochs: Vec<u32>,
 }
 
-/// Distinct-receiver collector mirroring `flexdist_dist::comm`'s
-/// stamp-vector `ReceiverSet`, but keeping the receivers (in
-/// first-encounter order) instead of only counting them.
-pub(crate) struct ReceiverCollector {
-    stamp: Vec<u32>,
-    current: u32,
-}
-
-impl ReceiverCollector {
-    pub(crate) fn new(n_nodes: u32) -> Self {
-        Self {
-            stamp: vec![0; n_nodes as usize],
-            current: 0,
-        }
-    }
-
-    fn collect(&mut self, sender: u32, owners: impl Iterator<Item = u32>) -> Vec<u32> {
-        self.current += 1;
-        self.stamp[sender as usize] = self.current;
-        let mut out = Vec::new();
-        for node in owners {
-            let s = &mut self.stamp[node as usize];
-            if *s != self.current {
-                *s = self.current;
-                out.push(node);
-            }
-        }
-        out
-    }
-}
-
 /// Tiles a kernel reads besides its written tile, with the epoch at
 /// which each was (or will be) broadcast.
-pub(crate) fn reads_of(op: Op) -> Vec<(usize, usize, usize)> {
-    match op {
-        Op::Getrf { .. } | Op::Potrf { .. } => Vec::new(),
+pub(crate) fn reads_of(op: Op) -> impl Iterator<Item = (usize, usize, usize)> {
+    let reads = match op {
+        Op::Getrf { .. } | Op::Potrf { .. } => [None, None],
         Op::TrsmColUpper { l, .. } | Op::TrsmRowLower { l, .. } | Op::TrsmLowerTrans { l, .. } => {
-            vec![(l, l, l)]
+            [Some((l, l, l)), None]
         }
-        Op::GemmNn { i, j, l } => vec![(i, l, l), (l, j, l)],
-        Op::GemmNt { i, j, l } => vec![(i, l, l), (j, l, l)],
-        Op::SyrkUpdate { j, l } => vec![(j, l, l)],
-        Op::SyrkAccumulate { i, j, l } | Op::GemmAb { i, j, l } => vec![(i, l, l), (l, j, l)],
-    }
+        Op::GemmNn { i, j, l } => [Some((i, l, l)), Some((l, j, l))],
+        Op::GemmNt { i, j, l } => [Some((i, l, l)), Some((j, l, l))],
+        Op::SyrkUpdate { j, l } => [Some((j, l, l)), None],
+        Op::SyrkAccumulate { i, j, l } | Op::GemmAb { i, j, l } => {
+            [Some((i, l, l)), Some((l, j, l))]
+        }
+    };
+    reads.into_iter().flatten()
 }
 
 /// The factorization iteration a task belongs to (its `l`) — the epoch
@@ -308,126 +289,139 @@ pub(crate) fn write_of(op: Op) -> (usize, usize) {
     }
 }
 
-/// The broadcast a completed task performs, mirroring the owner walks of
-/// `lu_comm_volume` / `cholesky_comm_volume` exactly (same tiles, same
-/// distinct-receiver sets), which is what makes measured == analytic.
-pub(crate) fn bcast_of(
-    op: Op,
-    t: usize,
-    a: &TileAssignment,
-    rc: &mut ReceiverCollector,
-) -> Option<TaskBcast> {
-    let own = |i: usize, j: usize| a.owner(i, j);
-    let (class, i, j, epoch, receivers) = match op {
-        Op::Getrf { l } => {
-            let sender = own(l, l);
-            let owners = ((l + 1)..t).flat_map(|i| [own(i, l), own(l, i)]);
-            (MsgClass::Panel, l, l, l, rc.collect(sender, owners))
-        }
-        Op::Potrf { l } => {
-            let sender = own(l, l);
-            let owners = ((l + 1)..t).map(|i| own(i, l));
-            (MsgClass::Panel, l, l, l, rc.collect(sender, owners))
-        }
-        Op::TrsmColUpper { i, l } => {
-            let sender = own(i, l);
-            let owners = ((l + 1)..t).map(|j| own(i, j));
-            (MsgClass::Trailing, i, l, l, rc.collect(sender, owners))
-        }
-        Op::TrsmRowLower { l, j } => {
-            let sender = own(l, j);
-            let owners = ((l + 1)..t).map(|i| own(i, j));
-            (MsgClass::Trailing, l, j, l, rc.collect(sender, owners))
-        }
-        Op::TrsmLowerTrans { i, l } => {
-            let sender = own(i, l);
-            let owners = ((l + 1)..=i)
-                .map(|j| own(i, j))
-                .chain(((i + 1)..t).map(|j| own(j, i)));
-            (MsgClass::Trailing, i, l, l, rc.collect(sender, owners))
-        }
-        _ => return None,
-    };
-    if receivers.is_empty() {
-        return None;
-    }
-    let recovered = vec![false; receivers.len()];
-    Some(TaskBcast {
-        class,
-        i: i as u32,
-        j: j as u32,
-        epoch: epoch as u32,
-        receivers,
-        recovered,
-    })
-}
-
-/// Derive the complete static communication schedule of a distributed
-/// run from the task list and owner map.
-///
-/// Mirrors the owner walks of `flexdist_dist::schedule` exactly (same
-/// tiles, same distinct-receiver sets in the same order) — the property
-/// that makes measured wire volume equal the analytic counts, and that
-/// lets `flexdist-verify` cross-check both derivations against each
-/// other.
+/// The spliced broadcast stream of `op` over an assignment chain (see
+/// `flexdist_dist::splice`); with one map and no crash, the plain Fig. 2
+/// walk.
 ///
 /// # Errors
 /// [`NetError::Unsupported`] for operations without a broadcast
 /// schedule (only LU and Cholesky have one).
-pub fn derive_schedule(tl: &TaskList, a: &TileAssignment) -> Result<CommSchedule, NetError> {
-    if !matches!(tl.operation, Operation::Lu | Operation::Cholesky) {
-        return Err(NetError::Unsupported {
-            operation: tl.operation.name().to_string(),
-        });
+pub(crate) fn chain_stream(
+    op: Operation,
+    maps: &[TileAssignment],
+    crashes: &[CrashPoint],
+) -> Result<Vec<SplicedMsg>, NetError> {
+    match op {
+        Operation::Lu => Ok(lu_spliced_chain(maps, crashes)),
+        Operation::Cholesky => Ok(cholesky_spliced_chain(maps, crashes)),
+        other => Err(NetError::Unsupported {
+            operation: other.name().to_string(),
+        }),
     }
+}
+
+/// Build the [`CommSchedule`] one participant runs over `map` from a
+/// broadcast stream — the one place where placement, same-rank
+/// dependency counts, needs and broadcast legs are computed.
+///
+/// Placement is owner-computes under `map`; `cut = Some((dead, epoch))`
+/// removes that rank's tasks of epochs `≥ epoch` ([`NO_RANK`]
+/// placement, so they are neither queued nor counted). Each leg of
+/// `stream` attaches to its tile's finalizing task — the unique task
+/// writing the tile at iteration `min(i, j)` — when that task runs on
+/// the leg's sender here; legs of other senders belong to other
+/// participants' schedules.
+pub(crate) fn build_schedule(
+    tl: &TaskList,
+    map: &TileAssignment,
+    stream: &[SplicedMsg],
+    cut: Option<(u32, u32)>,
+) -> CommSchedule {
     let g = &tl.graph;
-    let n = g.n_tasks();
+    let n = tl.ops.len();
     let t = tl.t;
-    let node: Vec<u32> = (0..n).map(|id| g.node_of(id as u32)).collect();
+    let mut node = Vec::with_capacity(n);
+    let mut writes = Vec::with_capacity(n);
+    let mut epochs = Vec::with_capacity(n);
+    for &op in &tl.ops {
+        let (i, j) = write_of(op);
+        let epoch = epoch_of(op);
+        let owner = map.owner(i, j);
+        let cut_off = cut.is_some_and(|(dead, at)| owner == dead && epoch >= at);
+        node.push(if cut_off { NO_RANK } else { owner });
+        writes.push((i as u32, j as u32));
+        epochs.push(epoch);
+    }
     let mut local_deps = vec![0u32; n];
     for (u, &nu) in node.iter().enumerate() {
+        if nu == NO_RANK {
+            continue;
+        }
         for &s in g.successors_of(u as u32) {
             if node[s as usize] == nu {
                 local_deps[s as usize] += 1;
             }
         }
     }
-    let mut rc = ReceiverCollector::new(a.n_nodes());
-    let mut needs = Vec::with_capacity(n);
-    let mut bcast = Vec::with_capacity(n);
-    for (id, &op) in tl.ops.iter().enumerate() {
-        let me = node[id];
-        let keys = reads_of(op)
-            .into_iter()
-            .filter(|&(i, j, _)| a.owner(i, j) != me)
-            .map(|(i, j, e)| TileKey {
-                i: i as u32,
-                j: j as u32,
-                epoch: e as u32,
-            })
-            .collect();
-        needs.push(keys);
-        bcast.push(bcast_of(op, t, a, &mut rc));
-    }
-    let writes = tl
+    let needs = tl
         .ops
         .iter()
-        .map(|&op| {
-            let (i, j) = write_of(op);
-            (i as u32, j as u32)
+        .zip(&node)
+        .map(|(&op, &me)| {
+            reads_of(op)
+                .filter(|&(i, j, _)| map.owner(i, j) != me)
+                .map(|(i, j, e)| TileKey {
+                    i: i as u32,
+                    j: j as u32,
+                    epoch: e as u32,
+                })
+                .collect()
         })
         .collect();
-    let epochs = tl.ops.iter().map(|&op| epoch_of(op)).collect();
-    Ok(CommSchedule {
+    let mut finalizer: Vec<Option<usize>> = vec![None; t * t];
+    for (id, (&(i, j), &epoch)) in writes.iter().zip(&epochs).enumerate() {
+        if epoch == i.min(j) {
+            finalizer[i as usize * t + j as usize] = Some(id);
+        }
+    }
+    let mut bcast = vec![None; n];
+    for m in stream {
+        let Some(id) = finalizer[m.i * t + m.j] else {
+            continue;
+        };
+        if node[id] != m.sender {
+            continue;
+        }
+        bcast[id] = Some(TaskBcast {
+            class: match m.class {
+                BcastClass::Panel => MsgClass::Panel,
+                BcastClass::Trailing => MsgClass::Trailing,
+            },
+            i: m.i as u32,
+            j: m.j as u32,
+            epoch: m.epoch as u32,
+            receivers: m.receivers.clone(),
+            recovered: m.recovered.clone(),
+        });
+    }
+    CommSchedule {
         t,
-        n_ranks: a.n_nodes(),
+        n_ranks: map.n_nodes(),
         node,
         local_deps,
         needs,
         bcast,
         writes,
         epochs,
-    })
+    }
+}
+
+/// Derive the complete static communication schedule of a distributed
+/// run from the task list and owner map: the zero-crash case of
+/// [`build_schedule`], over the spliced stream of the single map `a`.
+///
+/// That stream equals the owner walks of `flexdist_dist::schedule`
+/// message for message (same tiles, same distinct-receiver sets in the
+/// same order) — the property that makes measured wire volume equal the
+/// analytic counts, and that `flexdist-verify` checks by diffing the
+/// two derivations against each other.
+///
+/// # Errors
+/// [`NetError::Unsupported`] for operations without a broadcast
+/// schedule (only LU and Cholesky have one).
+pub fn derive_schedule(tl: &TaskList, a: &TileAssignment) -> Result<CommSchedule, NetError> {
+    let stream = chain_stream(tl.operation, std::slice::from_ref(a), &[])?;
+    Ok(build_schedule(tl, a, &stream, None))
 }
 
 /// What one rank hands back after draining its tasks: its share of the
@@ -815,6 +809,98 @@ fn run_rank(
     Ok(out)
 }
 
+/// The schedules a run executes. Every rank derives them identically
+/// from the same deterministic inputs — in a multi-process run that
+/// shared derivation *is* the crash-agreement round.
+enum RunPlan {
+    /// No crash to recover from: every rank runs the crash-free
+    /// schedule.
+    Plain(CommSchedule),
+    /// The active recovery plans, sorted by `(epoch, rank)`. Inactive
+    /// plans (a trailing crash with no remaining work) are dropped:
+    /// those crashes can never fire.
+    Recover(Vec<RecoverPlan>),
+}
+
+impl RunPlan {
+    /// Check the input shape, then derive only the schedules the run
+    /// needs: the recovery chain when recovery is armed and some crash
+    /// removes work, the crash-free schedule otherwise.
+    fn derive(
+        tl: &TaskList,
+        a: &TileAssignment,
+        input: &TiledMatrix,
+        opts: &DexecOptions<'_>,
+    ) -> Result<Self, NetError> {
+        if input.tiles() != tl.t {
+            return Err(NetError::ShapeMismatch {
+                expected: tl.t,
+                got: input.tiles(),
+            });
+        }
+        if opts.recover {
+            let chain: Vec<RecoverPlan> =
+                derive_recovery(tl, a, opts.faults.as_ref(), opts.topology)?
+                    .into_iter()
+                    .filter(|rp| rp.active)
+                    .collect();
+            if !chain.is_empty() {
+                return Ok(Self::Recover(chain));
+            }
+        }
+        Ok(Self::Plain(derive_schedule(tl, a)?))
+    }
+
+    /// Enlist `ep`'s rank: adopt on `ep` every re-map whose frames it
+    /// must accept, and return the owner map, schedule and mode it runs.
+    /// Casualty m runs its truncated plan under the map in force when it
+    /// dies (after the re-maps of every earlier crash) and leaves the
+    /// fabric after its last pre-crash task; every survivor adopts the
+    /// whole re-map chain and runs the fused schedule under the final
+    /// map.
+    fn enlist<'x>(
+        &'x self,
+        a: &'x TileAssignment,
+        ep: &mut Endpoint,
+        opts: &DexecOptions<'_>,
+    ) -> (&'x TileAssignment, &'x CommSchedule, RankMode) {
+        let rank = ep.rank();
+        let delay = opts
+            .splice_delay
+            .and_then(|(r, d)| (r == rank).then_some(d));
+        let chain = match self {
+            Self::Plain(plan) => {
+                return (
+                    a,
+                    plan,
+                    RankMode {
+                        delay,
+                        ..RankMode::default()
+                    },
+                )
+            }
+            Self::Recover(chain) => chain,
+        };
+        let casualty = chain.iter().position(|rp| rp.dead == rank);
+        let adopted = &chain[..casualty.unwrap_or(chain.len())];
+        for rp in adopted {
+            ep.adopt_remap(Arc::new(rp.remapped.clone()), rp.dead);
+        }
+        let run_a = adopted.last().map_or(a, |rp| &rp.remapped);
+        let plan = match casualty {
+            Some(m) => &chain[m].dead_sched,
+            None => &chain[0].survivor,
+        };
+        let mode = RankMode {
+            recover: true,
+            dying: casualty.is_some(),
+            grace: chain.len() as u32,
+            delay,
+        };
+        (run_a, plan, mode)
+    }
+}
+
 /// Run a task list distributed over one rank per node.
 ///
 /// # Errors
@@ -826,30 +912,7 @@ pub fn execute_distributed_with(
     opts: &DexecOptions<'_>,
 ) -> Result<DexecOutput, NetError> {
     let t = tl.t;
-    if input.tiles() != t {
-        return Err(NetError::ShapeMismatch {
-            expected: t,
-            got: input.tiles(),
-        });
-    }
-    let plan = derive_schedule(tl, assignment)?;
-    // With recovery armed, derive the crash re-map chain + fused
-    // schedules up front (every rank would derive the identical plans
-    // from the shared fault schedule — the agreement rounds are
-    // deterministic). Inactive entries (a trailing crash with no
-    // remaining work) are dropped: those crashes can never fire.
-    let recovery: Vec<crate::recovery::RecoverPlan> = if opts.recover {
-        crate::recovery::derive_recovery(tl, assignment, opts.faults.as_ref(), opts.topology)?
-            .into_iter()
-            .filter(|rp| rp.active)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let remap_arcs: Vec<Arc<TileAssignment>> = recovery
-        .iter()
-        .map(|rp| Arc::new(rp.remapped.clone()))
-        .collect();
+    let run = RunPlan::derive(tl, assignment, input, opts)?;
     let shared = Arc::new(assignment.clone());
     let faults = opts.faults.clone().map(Arc::new);
     let n_ranks = assignment.n_nodes();
@@ -877,60 +940,7 @@ pub fn execute_distributed_with(
             .into_iter()
             .map(|mut ep| {
                 let rank = ep.rank();
-                let delay = opts
-                    .splice_delay
-                    .and_then(|(r, d)| (r == rank).then_some(d));
-                // Recovery dispatch: casualty m runs its truncated plan
-                // under the map in force when it dies (adopting the
-                // re-maps of every earlier crash, whose frames must
-                // stay acceptable) and leaves the fabric after its last
-                // pre-crash task; every survivor adopts the whole
-                // re-map chain and runs the fused schedule under the
-                // final map.
-                let casualty = recovery.iter().position(|rp| rp.dead == rank);
-                let (run_a, run_plan, mode) = if let Some(m) = casualty {
-                    for q in 0..m {
-                        ep.adopt_remap(Arc::clone(&remap_arcs[q]), recovery[q].dead);
-                    }
-                    let run_a = if m == 0 {
-                        assignment
-                    } else {
-                        &recovery[m - 1].remapped
-                    };
-                    (
-                        run_a,
-                        &recovery[m].dead_sched,
-                        RankMode {
-                            recover: true,
-                            dying: true,
-                            grace: recovery.len() as u32,
-                            delay,
-                        },
-                    )
-                } else if let Some(last) = recovery.last() {
-                    for (q, rp) in recovery.iter().enumerate() {
-                        ep.adopt_remap(Arc::clone(&remap_arcs[q]), rp.dead);
-                    }
-                    (
-                        &last.remapped,
-                        &last.survivor,
-                        RankMode {
-                            recover: true,
-                            dying: false,
-                            grace: recovery.len() as u32,
-                            delay,
-                        },
-                    )
-                } else {
-                    (
-                        assignment,
-                        &plan,
-                        RankMode {
-                            delay,
-                            ..RankMode::default()
-                        },
-                    )
-                };
+                let (run_a, run_plan, mode) = run.enlist(assignment, &mut ep, opts);
                 scope.spawn(move || {
                     run_rank(
                         rank, tl, run_a, run_plan, input, ep, t0, want_trace, watchdog, mode,
@@ -1072,76 +1082,12 @@ pub fn execute_rank_socket(
     cfg: &SocketConfig,
     opts: &DexecOptions<'_>,
 ) -> Result<RankOutcome, NetError> {
-    let t = tl.t;
-    if input.tiles() != t {
-        return Err(NetError::ShapeMismatch {
-            expected: t,
-            got: input.tiles(),
-        });
-    }
-    let plan = derive_schedule(tl, assignment)?;
-    // Every rank process derives the identical recovery plan chain from
-    // the same deterministic inputs — that shared derivation *is* the
-    // crash-agreement round of the multi-process run.
-    let recovery: Vec<crate::recovery::RecoverPlan> = if opts.recover {
-        crate::recovery::derive_recovery(tl, assignment, opts.faults.as_ref(), opts.topology)?
-            .into_iter()
-            .filter(|rp| rp.active)
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let run = RunPlan::derive(tl, assignment, input, opts)?;
     let shared = Arc::new(assignment.clone());
     let faults = opts.faults.clone().map(Arc::new);
     let transport = SocketTransport::establish(rank, assignment.n_nodes(), opts.topology, cfg)?;
     let mut ep = Endpoint::from_transport(rank, shared, opts.topology, Box::new(transport), faults);
-    let delay = opts
-        .splice_delay
-        .and_then(|(r, d)| (r == rank).then_some(d));
-    let casualty = recovery.iter().position(|rp| rp.dead == rank);
-    let (run_a, run_plan, mode) = if let Some(m) = casualty {
-        for rp in &recovery[..m] {
-            ep.adopt_remap(Arc::new(rp.remapped.clone()), rp.dead);
-        }
-        let run_a = if m == 0 {
-            assignment
-        } else {
-            &recovery[m - 1].remapped
-        };
-        (
-            run_a,
-            &recovery[m].dead_sched,
-            RankMode {
-                recover: true,
-                dying: true,
-                grace: recovery.len() as u32,
-                delay,
-            },
-        )
-    } else if let Some(last) = recovery.last() {
-        for rp in &recovery {
-            ep.adopt_remap(Arc::new(rp.remapped.clone()), rp.dead);
-        }
-        (
-            &last.remapped,
-            &last.survivor,
-            RankMode {
-                recover: true,
-                dying: false,
-                grace: recovery.len() as u32,
-                delay,
-            },
-        )
-    } else {
-        (
-            assignment,
-            &plan,
-            RankMode {
-                delay,
-                ..RankMode::default()
-            },
-        )
-    };
+    let (run_a, run_plan, mode) = run.enlist(assignment, &mut ep, opts);
     run_rank(
         rank,
         tl,

@@ -26,14 +26,15 @@
 //!    Survivors keep every tile; each casualty's tiles go to the
 //!    least-loaded live survivors — including tiles it had itself
 //!    inherited from an earlier crash, which hand off a second time.
-//! 3. **Schedule splice.** Survivors run one fused [`CommSchedule`]:
-//!    task placement and needs under the final map, broadcasts taken
-//!    from the k-fused stream of [`flexdist_dist::splice`] (exactly-once
-//!    per `(receiver, tile)` across all k+1 segments). Casualty m runs
-//!    its plan under `maps[m]` — the map in force when it dies —
-//!    truncated to its pre-crash epochs (a static cut — the runtime
-//!    kill switch stays off so the cut cannot race the ready heap's
-//!    priority order).
+//! 3. **Schedule splice.** Every participant's [`CommSchedule`] comes
+//!    from the one builder that also makes the crash-free schedule
+//!    (which is this case with zero crashes), run over the k-fused
+//!    stream of [`flexdist_dist::splice`] (exactly-once per
+//!    `(receiver, tile)` across all k+1 segments). Survivors build
+//!    under the final map. Casualty m builds under `maps[m]` — the map
+//!    in force when it dies — with its tasks of the crash epoch and
+//!    later cut (a static cut — the runtime kill switch stays off so
+//!    the cut cannot race the ready heap's priority order).
 //! 4. **Resurrection.** A tile's final heir re-executes every lost task
 //!    from the *input* values (owner-computes over deterministic
 //!    kernels ⇒ bitwise-identical results); a second-generation heir
@@ -60,17 +61,11 @@
 //! measured goodput remains a pure function of the crash points while
 //! the retransmit machinery floats freely on top of the splice.
 
-use crate::dexec::{derive_schedule, epoch_of, reads_of, write_of, CommSchedule, TaskBcast};
-use crate::graphs::{Operation, TaskList};
-use flexdist_dist::splice::{
-    cholesky_spliced_broadcasts, cholesky_spliced_chain, lu_spliced_broadcasts, lu_spliced_chain,
-    spliced_volume, CrashPoint, SplicedMsg,
-};
-use flexdist_dist::{
-    cholesky_comm_volume, lu_comm_volume, BcastClass, CommBreakdown, TileAssignment,
-};
-use flexdist_net::{FaultPlan, MsgClass, NetError, TileKey, Topology};
-use std::collections::HashMap;
+use crate::dexec::{build_schedule, chain_stream, epoch_of, write_of, CommSchedule};
+use crate::graphs::TaskList;
+use flexdist_dist::splice::{spliced_volume, CrashPoint};
+use flexdist_dist::{CommBreakdown, TileAssignment};
+use flexdist_net::{FaultPlan, NetError, Topology};
 
 /// A task-id slot that belongs to no live rank (a casualty's post-crash
 /// tasks in its truncated schedule).
@@ -122,55 +117,6 @@ pub struct RecoverPlan {
     pub recovered: CommBreakdown,
 }
 
-impl RecoverPlan {
-    /// The spliced closed-form message stream of a *single-crash* plan
-    /// (as from [`derive_recovery_at`]); empty when inactive. The
-    /// independent oracle the fused schedules are cross-checked
-    /// against. For a cascade, rebuild the chain stream from all maps
-    /// via [`flexdist_dist::splice::lu_spliced_chain`] /
-    /// [`cholesky_spliced_chain`] instead — one element cannot see its
-    /// siblings' maps.
-    ///
-    /// # Errors
-    /// [`NetError::RecoveryUnsupported`] naming the operation when it
-    /// has no spliced broadcast stream (only LU and Cholesky do).
-    pub fn spliced_stream(
-        &self,
-        tl: &TaskList,
-        a: &TileAssignment,
-    ) -> Result<Vec<SplicedMsg>, NetError> {
-        if !self.active {
-            return Ok(Vec::new());
-        }
-        match tl.operation {
-            Operation::Lu => Ok(lu_spliced_broadcasts(
-                a,
-                &self.remapped,
-                self.dead,
-                self.epoch as usize,
-            )),
-            Operation::Cholesky => Ok(cholesky_spliced_broadcasts(
-                a,
-                &self.remapped,
-                self.dead,
-                self.epoch as usize,
-            )),
-            other => Err(unsupported_op(other)),
-        }
-    }
-}
-
-/// The typed refusal for operations without a spliced broadcast stream.
-fn unsupported_op(op: Operation) -> NetError {
-    NetError::RecoveryUnsupported {
-        detail: format!(
-            "operation {} has no spliced broadcast stream; only LU and Cholesky \
-             factorizations are recoverable",
-            op.name()
-        ),
-    }
-}
-
 /// Derive the recovery plans a run with `faults` needs, if any.
 ///
 /// Returns an empty vector when no crash is scheduled (or every
@@ -190,7 +136,7 @@ fn unsupported_op(op: Operation) -> NetError {
 /// # Errors
 /// [`NetError::RecoveryUnsupported`] when the cascade leaves no
 /// survivor to re-map onto; [`NetError::NoRoute`] as above; everything
-/// [`derive_schedule`] rejects.
+/// [`derive_schedule`](crate::derive_schedule) rejects.
 pub fn derive_recovery(
     tl: &TaskList,
     a: &TileAssignment,
@@ -222,7 +168,8 @@ pub fn derive_recovery(
 ///
 /// # Errors
 /// [`NetError::RecoveryUnsupported`] when there is no survivor to
-/// re-map onto; everything [`derive_schedule`] rejects.
+/// re-map onto; everything [`derive_schedule`](crate::derive_schedule)
+/// rejects.
 pub fn derive_recovery_at(
     tl: &TaskList,
     a: &TileAssignment,
@@ -252,7 +199,6 @@ fn derive_chain(
     a: &TileAssignment,
     crashes: &[(u32, u32)],
 ) -> Result<Vec<RecoverPlan>, NetError> {
-    let base = derive_schedule(tl, a)?;
     let mut maps: Vec<TileAssignment> = vec![a.clone()];
     let mut chain: Vec<CrashPoint> = Vec::new();
     let mut metas: Vec<CrashMeta> = Vec::with_capacity(crashes.len());
@@ -298,42 +244,14 @@ fn derive_chain(
             });
         }
     }
-    if chain.is_empty() {
-        // Every scheduled crash lands past its rank's last task: the
-        // whole cascade is a no-op and the run proceeds under the
-        // plain schedule with plain goodput.
-        let expected = match tl.operation {
-            Operation::Lu => lu_comm_volume(a),
-            Operation::Cholesky => cholesky_comm_volume(a),
-            _ => CommBreakdown::default(),
-        };
-        return Ok(metas
-            .iter()
-            .map(|m| RecoverPlan {
-                dead: m.dead,
-                epoch: m.epoch,
-                active: false,
-                remapped: a.clone(),
-                survivor: base.clone(),
-                dead_sched: base.clone(),
-                expected,
-                recovered: CommBreakdown::default(),
-            })
-            .collect());
-    }
-    let stream = match tl.operation {
-        Operation::Lu => lu_spliced_chain(&maps, &chain),
-        Operation::Cholesky => cholesky_spliced_chain(&maps, &chain),
-        other => return Err(unsupported_op(other)),
-    };
+    let stream = chain_stream(tl.operation, &maps, &chain)?;
     let vol = spliced_volume(&stream);
-    let legs = index_stream(&stream);
-    let survivor = build_fused_schedule(tl, &base, &maps[maps.len() - 1], &legs, None);
+    let survivor = build_schedule(tl, &maps[maps.len() - 1], &stream, None);
     Ok(metas
         .iter()
         .map(|m| {
             let dead_sched = if m.modeled {
-                build_fused_schedule(tl, &base, &maps[m.map_idx], &legs, Some((m.dead, m.epoch)))
+                build_schedule(tl, &maps[m.map_idx], &stream, Some((m.dead, m.epoch)))
             } else {
                 // Trailing no-op casualty: nothing of its schedule is
                 // lost, so it runs the fused survivor schedule like
@@ -352,120 +270,6 @@ fn derive_chain(
             }
         })
         .collect())
-}
-
-/// One fused broadcast, indexed by `(sender, i, j)`. Senders along a
-/// tile's ownership chain are distinct ranks (ownership only ever moves
-/// off a casualty, never back), so the key is unique per stream.
-struct Leg {
-    class: MsgClass,
-    epoch: u32,
-    receivers: Vec<u32>,
-    recovered: Vec<bool>,
-}
-
-fn index_stream(stream: &[SplicedMsg]) -> HashMap<(u32, u32, u32), Leg> {
-    let mut out = HashMap::new();
-    for m in stream {
-        let class = match m.class {
-            BcastClass::Panel => MsgClass::Panel,
-            BcastClass::Trailing => MsgClass::Trailing,
-        };
-        out.insert(
-            (m.sender, m.i as u32, m.j as u32),
-            Leg {
-                class,
-                epoch: m.epoch as u32,
-                receivers: m.receivers.clone(),
-                recovered: m.recovered.clone(),
-            },
-        );
-    }
-    out
-}
-
-/// Build one participant's fused schedule: placement, local dependency
-/// counts and needs under `map`; each task's broadcast slot is its
-/// fused-stream leg — the leg whose sender is the task's executing rank
-/// and whose tile/epoch match the task's written tile at its
-/// finalization iteration. `cut` removes a casualty's post-crash tasks
-/// ([`NO_RANK`] placement, so they are neither queued nor counted).
-fn build_fused_schedule(
-    tl: &TaskList,
-    base: &CommSchedule,
-    map: &TileAssignment,
-    legs: &HashMap<(u32, u32, u32), Leg>,
-    cut: Option<(u32, u32)>,
-) -> CommSchedule {
-    let g = &tl.graph;
-    let n = tl.ops.len();
-    let t = tl.t;
-    let mut node: Vec<u32> = tl
-        .ops
-        .iter()
-        .map(|&op| {
-            let (i, j) = write_of(op);
-            map.owner(i, j)
-        })
-        .collect();
-    if let Some((dead, epoch)) = cut {
-        for (id, slot) in node.iter_mut().enumerate() {
-            if *slot == dead && base.epochs[id] >= epoch {
-                *slot = NO_RANK;
-            }
-        }
-    }
-    let mut local_deps = vec![0u32; n];
-    for (u, &nu) in node.iter().enumerate() {
-        if nu == NO_RANK {
-            continue;
-        }
-        for &s in g.successors_of(u as u32) {
-            if node[s as usize] == nu {
-                local_deps[s as usize] += 1;
-            }
-        }
-    }
-    let mut needs = Vec::with_capacity(n);
-    let mut bcast = Vec::with_capacity(n);
-    for (id, &op) in tl.ops.iter().enumerate() {
-        let me = node[id];
-        let keys: Vec<TileKey> = reads_of(op)
-            .into_iter()
-            .filter(|&(i, j, _)| map.owner(i, j) != me)
-            .map(|(i, j, e)| TileKey {
-                i: i as u32,
-                j: j as u32,
-                epoch: e as u32,
-            })
-            .collect();
-        needs.push(keys);
-        let (wi, wj) = write_of(op);
-        // Only the finalizing task of tile (wi, wj) — the unique op
-        // writing it at iteration min(wi, wj) — matches a leg's epoch.
-        let slot = legs
-            .get(&(me, wi as u32, wj as u32))
-            .filter(|leg| leg.epoch == epoch_of(op))
-            .map(|leg| TaskBcast {
-                class: leg.class,
-                i: wi as u32,
-                j: wj as u32,
-                epoch: leg.epoch,
-                receivers: leg.receivers.clone(),
-                recovered: leg.recovered.clone(),
-            });
-        bcast.push(slot);
-    }
-    CommSchedule {
-        t,
-        n_ranks: base.n_ranks,
-        node,
-        local_deps,
-        needs,
-        bcast,
-        writes: base.writes.clone(),
-        epochs: base.epochs.clone(),
-    }
 }
 
 /// Verify every fused send against the topology, so a re-map onto an
@@ -502,9 +306,12 @@ fn check_routes(plans: &[RecoverPlan], topology: &dyn Topology) -> Result<(), Ne
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphs::build_graph;
+    use crate::graphs::{build_graph, Operation};
     use flexdist_core::g2dbc;
+    use flexdist_dist::lu_comm_volume;
+    use flexdist_dist::splice::{cholesky_spliced_chain, lu_spliced_chain, SplicedMsg};
     use flexdist_kernels::KernelCostModel;
+    use flexdist_net::TileKey;
     use std::collections::HashMap;
 
     fn setup(p: u32, t: usize, op: Operation) -> (TaskList, TileAssignment) {
@@ -550,9 +357,9 @@ mod tests {
         }
     }
 
-    /// The fused schedules' message multiset must equal the dist-layer
-    /// spliced stream exactly — two independent derivations of the same
-    /// hybrid walk.
+    /// A single crash is a chain of one: the survivor schedule plus the
+    /// casualty's kept rows must reproduce that chain's stream leg for
+    /// leg, for two ranks at every epoch.
     #[test]
     fn fused_schedules_match_the_spliced_stream() {
         for op in [Operation::Lu, Operation::Cholesky] {
@@ -563,7 +370,13 @@ mod tests {
                     if !rp.active {
                         continue;
                     }
-                    let mut diff = stream_diff(&rp.spliced_stream(&tl, &a).unwrap());
+                    let maps = [a.clone(), rp.remapped.clone()];
+                    let chain = [(rp.dead, rp.epoch as usize)];
+                    let stream = match op {
+                        Operation::Lu => lu_spliced_chain(&maps, &chain),
+                        _ => cholesky_spliced_chain(&maps, &chain),
+                    };
+                    let mut diff = stream_diff(&stream);
                     drain(&mut diff, &rp.survivor, None);
                     drain(&mut diff, &rp.dead_sched, Some(dead));
                     let bad: Vec<_> = diff.iter().filter(|&(_, &c)| c != 0).collect();
@@ -576,14 +389,16 @@ mod tests {
         }
     }
 
-    /// Same cross-check for a cascade: the union of the final survivor
-    /// schedule and every casualty's kept rows must reproduce the
-    /// k-fused chain stream leg for leg.
+    /// The union of the final survivor schedule and every casualty's
+    /// kept rows must reproduce the k-fused chain stream leg for leg —
+    /// no leg lost, none attached twice — for two- and three-crash
+    /// cascades.
     #[test]
     fn fused_cascade_matches_the_chain_stream() {
         for op in [Operation::Lu, Operation::Cholesky] {
             let (tl, a) = setup(5, 6, op);
-            for crashes in [vec![(1u32, 2u32), (3, 4)], vec![(0, 1), (2, 2), (4, 5)]] {
+            let cascades = [vec![(1u32, 2u32), (3, 4)], vec![(0, 1), (2, 2), (4, 5)]];
+            for crashes in cascades {
                 let plan = crashes
                     .iter()
                     .try_fold(FaultPlan::new(7), |p, &(d, e)| p.with_crash(d, e))
@@ -683,19 +498,17 @@ mod tests {
 
     #[test]
     fn unsupported_operation_is_a_typed_refusal_naming_it() {
-        let (tl, a) = setup(4, 5, Operation::Lu);
-        let rp = derive_recovery_at(&tl, &a, 1, 2).unwrap();
-        assert!(rp.active);
-        let (syrk_tl, _) = setup(4, 5, Operation::Syrk);
-        let err = rp.spliced_stream(&syrk_tl, &a).unwrap_err();
+        let (tl, a) = setup(4, 5, Operation::Syrk);
+        let plan = FaultPlan::new(1).with_crash(1, 2).unwrap();
+        let err = derive_recovery(&tl, &a, Some(&plan), &flexdist_net::FullMesh).unwrap_err();
         match err {
-            NetError::RecoveryUnsupported { detail } => {
+            NetError::Unsupported { operation } => {
                 assert!(
-                    detail.contains("syrk"),
-                    "detail does not name the op: {detail}"
+                    operation.contains("syrk"),
+                    "error does not name the op: {operation}"
                 );
             }
-            other => panic!("expected RecoveryUnsupported, got {other:?}"),
+            other => panic!("expected Unsupported, got {other:?}"),
         }
     }
 

@@ -37,7 +37,7 @@
 //! only after its producing task's span ended.
 
 use crate::Finding;
-use flexdist_dist::splice::{cholesky_spliced_chain, lu_spliced_chain, SplicedMsg};
+use flexdist_dist::splice::{cholesky_spliced_chain, lu_spliced_chain};
 use flexdist_dist::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg, TileAssignment};
 use flexdist_factor::net::{FaultPlan, FullMesh, MsgClass, TileKey};
 use flexdist_factor::{
@@ -113,43 +113,13 @@ pub struct ProtocolSchedule {
 impl ProtocolSchedule {
     /// Derive the schedule for a task list over an owner map — the
     /// exact structure [`flexdist_factor::execute_distributed`] runs.
+    /// The empty-chain case of the crashed derivation.
     ///
     /// # Errors
     /// A message for operations without a broadcast schedule (only LU
     /// and Cholesky have one).
     pub fn derive(tl: &TaskList, a: &TileAssignment) -> Result<Self, String> {
-        let cs = derive_schedule(tl, a).map_err(|e| e.to_string())?;
-        let n_ranks = cs.n_ranks;
-        let n = cs.node.len();
-        let mut local_order: Vec<Vec<usize>> = vec![Vec::new(); n_ranks as usize];
-        let mut readers: Vec<HashMap<TileKey, u32>> = vec![HashMap::new(); n_ranks as usize];
-        for (id, &rank) in cs.node.iter().enumerate() {
-            local_order[rank as usize].push(id);
-            for &key in &cs.needs[id] {
-                *readers[rank as usize].entry(key).or_insert(0) += 1;
-            }
-        }
-        let mut owned = vec![0u64; n_ranks as usize];
-        for i in 0..cs.t {
-            for j in 0..cs.t {
-                owned[a.owner(i, j) as usize] += 1;
-            }
-        }
-        let sends = cs.bcast.into_iter().map(spec_of).collect();
-        debug_assert_eq!(n, cs.needs.len());
-        Ok(Self {
-            t: cs.t,
-            n_ranks,
-            rank_of: cs.node,
-            writes: cs.writes,
-            epochs: cs.epochs,
-            needs: cs.needs,
-            sends,
-            local_order,
-            readers,
-            owned,
-            engine_task: (0..n).collect(),
-        })
+        Self::of_recovery_chain(tl, a, &[])
     }
 
     /// Derive the **crashed** schedule for a run where rank `dead` dies
@@ -187,33 +157,37 @@ impl ProtocolSchedule {
         a: &TileAssignment,
         crashes: &[(u32, u32)],
     ) -> Result<Self, String> {
-        let active = active_chain(tl, a, crashes)?;
-        match Self::of_recovery_chain(&active, a) {
-            Some(s) => Ok(s),
-            None => Self::derive(tl, a),
-        }
+        Self::of_recovery_chain(tl, a, &active_chain(tl, a, crashes)?)
     }
 
     /// Build the combined crashed schedule from the already-derived
-    /// chain of **active** recovery plans (sorted crash order). Returns
-    /// `None` when the chain is empty (the run degenerates to the plain
-    /// schedule).
-    fn of_recovery_chain(active: &[RecoverPlan], a: &TileAssignment) -> Option<Self> {
-        let last = active.last()?;
-        let sv = &last.survivor;
+    /// chain of **active** recovery plans (sorted crash order). An
+    /// empty chain is the crash-free run: the plain schedule over `a`.
+    ///
+    /// # Errors
+    /// A message for operations without a broadcast schedule.
+    fn of_recovery_chain(
+        tl: &TaskList,
+        a: &TileAssignment,
+        active: &[RecoverPlan],
+    ) -> Result<Self, String> {
+        let (sv, final_map) = match active.last() {
+            Some(last) => (last.survivor.clone(), &last.remapped),
+            None => (derive_schedule(tl, a).map_err(|e| e.to_string())?, a),
+        };
         let n_ranks = sv.n_ranks;
         let n = sv.node.len();
-        let mut rank_of = sv.node.clone();
-        let mut writes = sv.writes.clone();
-        let mut epochs = sv.epochs.clone();
-        let mut needs = sv.needs.clone();
-        let mut sends: Vec<Option<SendSpec>> = sv.bcast.iter().cloned().map(spec_of).collect();
+        let mut rank_of = sv.node;
+        let mut writes = sv.writes;
+        let mut epochs = sv.epochs;
+        let mut needs = sv.needs;
+        let mut sends: Vec<Option<SendSpec>> = sv.bcast.into_iter().map(spec_of).collect();
         let mut engine_task: Vec<usize> = (0..n).collect();
         for rp in active {
             let ds = &rp.dead_sched;
             for id in 0..n {
                 debug_assert_ne!(
-                    sv.node[id], rp.dead,
+                    rank_of[id], rp.dead,
                     "the re-map chain leaves every casualty without tasks"
                 );
                 if ds.node[id] != rp.dead {
@@ -239,24 +213,25 @@ impl ProtocolSchedule {
         // casualty holds the tiles it owned under the map it was
         // running at death — including any it inherited from earlier
         // casualties in the cascade.
+        let t = sv.t;
         let mut owned = vec![0u64; n_ranks as usize];
-        for i in 0..sv.t {
-            for j in 0..sv.t {
-                owned[last.remapped.owner(i, j) as usize] += 1;
+        for i in 0..t {
+            for j in 0..t {
+                owned[final_map.owner(i, j) as usize] += 1;
             }
         }
         for (m, rp) in active.iter().enumerate() {
             let prev: &TileAssignment = if m == 0 { a } else { &active[m - 1].remapped };
-            for i in 0..sv.t {
-                for j in 0..sv.t {
+            for i in 0..t {
+                for j in 0..t {
                     if prev.owner(i, j) == rp.dead {
                         owned[rp.dead as usize] += 1;
                     }
                 }
             }
         }
-        Some(Self {
-            t: sv.t,
+        Ok(Self {
+            t,
             n_ranks,
             rank_of,
             writes,
@@ -545,9 +520,10 @@ pub fn check_protocol_crashed(
     capacity: Option<u32>,
 ) -> Result<ProtocolReport, String> {
     let active = active_chain(tl, a, crashes)?;
-    let Some(s) = ProtocolSchedule::of_recovery_chain(&active, a) else {
+    if active.is_empty() {
         return check_protocol(tl, a, capacity);
-    };
+    }
+    let s = ProtocolSchedule::of_recovery_chain(tl, a, &active)?;
     let mut maps = vec![a.clone()];
     let mut points: Vec<(u32, usize)> = Vec::new();
     for rp in &active {
@@ -1016,40 +992,39 @@ fn memory_peaks(
     out
 }
 
-/// Cross-derivation agreement: the schedule extracted from the task list
-/// must carry exactly the message multiset of the independent Fig. 2
-/// broadcast walk in `flexdist_dist::schedule` — same tiles, epochs,
-/// senders and ordered receiver sets.
 /// A broadcast's identity for the multiset diff: class discriminant,
 /// sender, tile, epoch, ordered receiver set.
 type WalkKey = (u8, u32, u32, u32, u32, Vec<u32>);
 
+/// The [`WalkKey`] of one walk or spliced-walk message.
+fn walk_key(
+    class: BcastClass,
+    sender: u32,
+    i: usize,
+    j: usize,
+    epoch: usize,
+    receivers: Vec<u32>,
+) -> WalkKey {
+    let class = match class {
+        BcastClass::Panel => 0u8,
+        BcastClass::Trailing => 1,
+    };
+    (class, sender, i as u32, j as u32, epoch as u32, receivers)
+}
+
+/// Cross-derivation agreement: the schedule extracted from the task list
+/// must carry exactly the message multiset of the independent Fig. 2
+/// broadcast walk in `flexdist_dist::schedule` — same tiles, epochs,
+/// senders and ordered receiver sets.
 fn walk_findings(s: &ProtocolSchedule, op: Operation, a: &TileAssignment) -> Vec<Finding> {
     let mut counts: HashMap<WalkKey, i64> = HashMap::new();
-    let keyed = |m: &BcastMsg| {
-        (
-            match m.class {
-                BcastClass::Panel => 0u8,
-                BcastClass::Trailing => 1,
-            },
-            m.sender,
-            m.i as u32,
-            m.j as u32,
-            m.epoch as u32,
-            m.receivers.clone(),
-        )
+    let mut add = |m: BcastMsg| {
+        let key = walk_key(m.class, m.sender, m.i, m.j, m.epoch, m.receivers);
+        *counts.entry(key).or_insert(0) += 1;
     };
     match op {
-        Operation::Lu => {
-            for m in lu_broadcasts(a) {
-                *counts.entry(keyed(&m)).or_insert(0) += 1;
-            }
-        }
-        Operation::Cholesky => {
-            for m in cholesky_broadcasts(a) {
-                *counts.entry(keyed(&m)).or_insert(0) += 1;
-            }
-        }
+        Operation::Lu => lu_broadcasts(a).for_each(&mut add),
+        Operation::Cholesky => cholesky_broadcasts(a).for_each(&mut add),
         _ => return Vec::new(),
     }
     subtract_sends(&mut counts, s);
@@ -1067,27 +1042,15 @@ fn spliced_walk_findings(
     maps: &[TileAssignment],
     points: &[(u32, usize)],
 ) -> Vec<Finding> {
-    let keyed = |m: &SplicedMsg| {
-        (
-            match m.class {
-                BcastClass::Panel => 0u8,
-                BcastClass::Trailing => 1,
-            },
-            m.sender,
-            m.i as u32,
-            m.j as u32,
-            m.epoch as u32,
-            m.receivers.clone(),
-        )
-    };
     let stream = match op {
         Operation::Lu => lu_spliced_chain(maps, points),
         Operation::Cholesky => cholesky_spliced_chain(maps, points),
         _ => return Vec::new(),
     };
     let mut counts: HashMap<WalkKey, i64> = HashMap::new();
-    for m in &stream {
-        *counts.entry(keyed(m)).or_insert(0) += 1;
+    for m in stream {
+        let key = walk_key(m.class, m.sender, m.i, m.j, m.epoch, m.receivers);
+        *counts.entry(key).or_insert(0) += 1;
     }
     subtract_sends(&mut counts, s);
     walk_diff_findings(counts, "spliced walk")

@@ -15,6 +15,14 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo build --offline --workspace --release
 run cargo test --offline --workspace -q
 
+# Benchmark-harness build: perfbench/harness is its own Cargo workspace
+# that calls the public schedule, recovery and verifier APIs, so nothing
+# above compiles it. Build it (into the same target directory
+# perfbench/run.py uses) so an API change that breaks the benchmark
+# fails here.
+run env CARGO_TARGET_DIR=.bench_build cargo build --offline --release --locked \
+    --manifest-path perfbench/harness/Cargo.toml
+
 # Batch-engine smoke: a tiny schemes x tiles grid through `flexdist sweep`
 # must produce one TSV row per grid point.
 echo "==> flexdist sweep smoke"
